@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleFamily, NotMinimal, NotNonexpansive
+from .errors import InfeasibleFamily, NotMinimal, NotNonexpansive, ValidationError
 from .hull import sample_hull
-from .pairs import AmplePair, ample_completion, in_hull, project_arrays
-from .space import QSpace
+from .pairs import AmplePair, dsym, in_hull, retract
+from .space import QSpace, map_table
 from .tolerances import AMPLE_TOL, CERTIFICATION_TOL
 
 BISECTION_TOL = 1e-7
@@ -92,7 +92,8 @@ def min_delta(X: QSpace, F: BallFamily, tol: float = BISECTION_TOL) -> float:
     if find_center(X, F, 0.0) is not None:
         return 0.0
     lo, hi = 0.0, X.diam
-    assert find_center(X, F, hi) is not None, "diameter inflation must solve"
+    if find_center(X, F, hi) is None:
+        raise ValidationError(X.classification, "diameter inflation must solve")
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
         if find_center(X, F, mid) is not None:
@@ -104,14 +105,7 @@ def min_delta(X: QSpace, F: BallFamily, tol: float = BISECTION_TOL) -> float:
 
 def _embedding_gaps(X: QSpace, F1: np.ndarray, F2: np.ndarray) -> np.ndarray:
     """Per-row min over x of max(||f1 - d(x,.)||, ||f2 - d(.,x)||)."""
-    gaps = np.full(F1.shape[0], np.inf)
-    for x in range(X.n):
-        g = np.maximum(
-            np.abs(F1 - X.d[x, :][None, :]).max(axis=1),
-            np.abs(F2 - X.d[:, x][None, :]).max(axis=1),
-        )
-        np.minimum(gaps, g, out=gaps)
-    return gaps
+    return dsym(F1[:, None, :], F2[:, None, :], X.d, X.d.T).min(axis=1)
 
 
 def distance_to_embedding(X: QSpace, f: AmplePair) -> float:
@@ -136,10 +130,10 @@ def estimate_delta(
     """Estimate the injectivity constant by sampling plus local ascent.
 
     The lower bound is the best embedding gap over certified hull samples,
-    refined by coordinate perturbation of f1 (rebuild f2 as the lower
-    envelope, re-project, accept on improvement) from the most promising
-    starts.  The upper value adds the stagnation step of the ascent and is
-    reported, not proven.
+    refined by coordinate perturbation of f1 (sent back to the hull by the
+    exact two-step retraction, accepted on improvement) from the most
+    promising starts.  The upper value adds the stagnation step of the
+    ascent and is reported, not proven.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -167,8 +161,7 @@ def estimate_delta(
         while step > floor and rounds < 200:
             rounds += 1
             C1 = np.maximum(f1[None, :] + rng.uniform(-step, step, (16, X.n)), 0.0)
-            C2 = np.maximum((X.d[None, :, :] - C1[:, None, :]).max(axis=2), 0.0)
-            P1, P2, pres = project_arrays(X, C1, C2)
+            P1, P2, pres = retract(X.d, C1)
             objs = np.maximum(_embedding_gaps(X, P1, P2) - pres, 0.0)
             j = int(np.argmax(objs))
             if objs[j] > cur + 1e-12:
@@ -225,12 +218,11 @@ def random_nonexpansive(
 def fixed_point_gap(X: QSpace, T) -> tuple[float, int]:
     """min over x of the symmetrized displacement dsym(x, T(x)), with argmin.
 
-    T must be a total non-expansive self-map; NotNonexpansive reports the
-    violating pair otherwise.
+    T must be a total non-expansive self-map: LengthMismatch or
+    IndexOutOfRange rejects a table that is not total, and NotNonexpansive
+    reports the violating pair of one that expands.
     """
-    T = [int(v) for v in T]
-    if len(T) != X.n or any(not 0 <= v < X.n for v in T):
-        raise ValueError("map table must be a total self-map")
+    T = map_table(T, X.n, X.n)
     bad = _nonexpansive_excess(X, T)
     if bad is not None:
         raise NotNonexpansive(*bad)

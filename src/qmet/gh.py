@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EpsTooSmall, NotACorrespondence, ValidationError
-from .space import QSpace, largeness_constant
+from .space import QSpace, largeness_constant, map_table
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -214,9 +214,7 @@ class RoughIsometryWitness:
 
 def verify_rough_isometry(phi, X: QSpace, Y: QSpace) -> RoughIsometryWitness:
     """Measure a total map X -> Y as a sym-rough isometry (exact constants)."""
-    phi = tuple(int(v) for v in phi)
-    if len(phi) != X.n or any(not 0 <= v < Y.n for v in phi):
-        raise IndexError("map table must send every source point into the target")
+    phi = map_table(phi, X.n, Y.n)
     ix = np.asarray(phi)
     eps_embed = float(np.abs(X.d - Y.d[np.ix_(ix, ix)]).max())
     eps_large = largeness_constant(Y, sorted(set(phi)))

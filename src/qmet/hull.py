@@ -2,7 +2,7 @@
 
 The hull of a finite space is an infinite polyhedral object; it is represented
 here only by certified finite nets: the canonical point embeddings plus
-projected random candidates.  Nets are deterministic given (space, k, seed).
+retracted random candidates.  Nets are deterministic given (space, k, seed).
 """
 
 from __future__ import annotations
@@ -15,10 +15,12 @@ from .errors import NotMetric
 from .gh import Correspondence, distortion
 from .pairs import (
     AmplePair,
-    ample_completion,
+    dsym,
     embed_point,
-    pair_dist,
+    flat,
     project_arrays,
+    retract,
+    star,
 )
 from .space import QSpace
 from .tolerances import CERTIFICATION_TOL, DEDUP_TOL
@@ -47,20 +49,15 @@ def _stack(points) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _dsym_to_pool(F1, F2, f1, f2) -> np.ndarray:
-    return np.maximum(
-        np.abs(F1 - f1[None, :]).max(axis=1), np.abs(F2 - f2[None, :]).max(axis=1)
-    )
-
-
 def sample_hull(X: QSpace, k: int, seed: int = 0) -> HullSample:
     """Draw k hull candidates and keep the distinct certified ones.
 
-    Half the candidates are fresh: f1 uniform in [0, 2 diam]^n completed by
-    the least valid f2 (ample by construction) and projected.  The rest
-    perturb already accepted members by bounded bumps and re-project; the bump
-    radius starts at 0.25 diam and halves whenever a candidate collapses onto
-    an existing point.  The point embeddings are always included (first).
+    Half the candidates are fresh: g uniform in [0, 2 diam]^n, sent to the
+    hull by the exact two-step retraction g -> (flat(star(g)), star(g)).  The
+    rest perturb the f1 of already accepted members by bounded bumps and
+    retract again; the bump radius starts at 0.25 diam and halves whenever a
+    candidate collapses onto an existing point.  The point embeddings are
+    always included (first).
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -71,7 +68,7 @@ def sample_hull(X: QSpace, k: int, seed: int = 0) -> HullSample:
 
     def try_add(f1, f2, res) -> bool:
         nonlocal F1, F2
-        if _dsym_to_pool(F1, F2, f1, f2).min() < DEDUP_TOL:
+        if dsym(F1, F2, f1, f2).min() < DEDUP_TOL:
             return False
         points.append(
             AmplePair(X, f1, f2, certified_minimal=True, certified_tol=float(res))
@@ -83,8 +80,7 @@ def sample_hull(X: QSpace, k: int, seed: int = 0) -> HullSample:
     if k > 0 and R > 0.0:
         n_fresh = (k + 1) // 2
         C1 = rng.uniform(0.0, 2.0 * R, size=(n_fresh, X.n))
-        C2 = np.maximum((X.d[None, :, :] - C1[:, None, :]).max(axis=2), 0.0)
-        P1, P2, res = project_arrays(X, C1, C2)
+        P1, P2, res = retract(X.d, C1)
         for i in range(n_fresh):
             try_add(P1[i], P2[i], res[i])
 
@@ -92,40 +88,32 @@ def sample_hull(X: QSpace, k: int, seed: int = 0) -> HullSample:
         floor = R * 2.0 ** -30
         for _ in range(k - n_fresh):
             base = int(rng.integers(0, len(points)))
-            g1 = np.maximum(
-                points[base].f1 + rng.uniform(-radius, radius, size=X.n), 0.0
-            )
-            cand = ample_completion(X, g1)
-            p1, p2, res = project_arrays(X, cand.f1, cand.f2)
+            g1 = np.maximum(F1[base] + rng.uniform(-radius, radius, size=X.n), 0.0)
+            p1, p2, res = retract(X.d, g1)
             if not try_add(p1, p2, res) and radius > floor:
                 radius /= 2.0
 
-    if len(points) >= 2:
-        D1, D2 = _stack(points)
-        gaps = np.maximum(
-            np.abs(D1[:, None, :] - D1[None, :, :]).max(axis=2),
-            np.abs(D2[:, None, :] - D2[None, :, :]).max(axis=2),
-        )
-        np.fill_diagonal(gaps, np.inf)
-        spread = float(gaps.min())
-    else:
-        spread = float("inf")
-    return HullSample(X, tuple(points), seed, spread)
+    gaps = dsym(F1[:, None, :], F2[:, None, :], F1, F2)
+    np.fill_diagonal(gaps, np.inf)
+    return HullSample(X, tuple(points), seed, float(gaps.min()))
 
 
 def hull_as_qspace(H: HullSample) -> QSpace:
     """The net as a finite quasi-metric space under the hull quasi-metric.
 
     The first rows/columns reproduce the base space exactly (the point
-    embedding is isometric); dedup keeps the matrix T0.
+    embedding is isometric, and the block is written from the base matrix
+    rather than recomputed with rounding); dedup keeps the matrix T0.
     """
     F1, F2 = _stack(H.points)
     D = np.maximum(
         np.maximum((F1[:, None, :] - F1[None, :, :]).max(axis=2), 0.0),
         np.maximum((F2[None, :, :] - F2[:, None, :]).max(axis=2), 0.0),
     )
+    n = H.space.n
+    D[:n, :n] = H.space.d
     labels = list(H.space.labels) + [
-        f"s{i}" for i in range(len(H.points) - H.space.n)
+        f"s{i}" for i in range(len(H.points) - n)
     ]
     return QSpace(D, labels)
 
@@ -149,19 +137,14 @@ def metric_diag_check(X: QSpace, H: HullSample, tol: float = CERTIFICATION_TOL) 
         raise NotMetric("diagonal check requires a symmetric space")
     diag = [p for p in H.points if np.abs(p.f1 - p.f2).max() <= tol]
     n_off = len(H.points) - len(diag)
-    worst_res = 0.0
-    for p in diag:
-        s1, s2 = (
-            np.maximum((X.d - p.f2[:, None]).max(axis=0), 0.0),
-            np.maximum((X.d - p.f1[None, :]).max(axis=1), 0.0),
-        )
-        res = max(np.abs(p.f1 - s1).max(), np.abs(p.f2 - s2).max())
-        worst_res = max(worst_res, float(res))
-    worst_disc = 0.0
-    for i, p in enumerate(diag):
-        for q in diag[i + 1:]:
-            ds = pair_dist(p, q, "Dsym")
-            worst_disc = max(worst_disc, abs(ds - float(np.abs(p.f1 - q.f1).max())))
+    worst_res = worst_disc = 0.0
+    if diag:
+        D1, D2 = _stack(diag)
+        worst_res = float(dsym(D1, D2, flat(X.d, D2), star(X.d, D1)).max())
+        # dsym of the pairs (f1, f1) and (g1, g1) is the sup norm of f1 - g1
+        sup = dsym(D1[:, None, :], D1[:, None, :], D1, D1)
+        sym = dsym(D1[:, None, :], D2[:, None, :], D1, D2)
+        worst_disc = float(np.abs(sym - sup).max())
     return DiagonalReport(len(diag), n_off, worst_res, worst_disc)
 
 
@@ -183,20 +166,11 @@ def net_gh_upper(HX: HullSample, HY: HullSample) -> float:
         F1, F2 = _stack(source.points)
         P1, P2, _ = project_arrays(target.space, F1 + pad, F2 + pad)
         T1, T2 = _stack(target.points)
-        out = []
-        for i in range(P1.shape[0]):
-            gaps = np.maximum(
-                np.abs(T1 - P1[i][None, :]).max(axis=1),
-                np.abs(T2 - P2[i][None, :]).max(axis=1),
-            )
-            out.append(int(np.argmin(gaps)))
-        return out
+        return dsym(P1[:, None, :], P2[:, None, :], T1, T2).argmin(axis=1).tolist()
 
     DX = hull_as_qspace(HX)
     DY = hull_as_qspace(HY)
-    phi = snapped(HX, HY, eta / 2.0)
-    psi = snapped(HY, HX, eta / 2.0)
-    pairs = [(i, phi[i]) for i in range(len(HX.points))]
-    pairs += [(psi[j], j) for j in range(len(HY.points))]
+    pairs = list(enumerate(snapped(HX, HY, eta / 2.0)))
+    pairs += [(i, j) for j, i in enumerate(snapped(HY, HX, eta / 2.0))]
     R = Correspondence(DX, DY, tuple(sorted(set(pairs))))
     return distortion(R) / 2.0

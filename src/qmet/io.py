@@ -150,4 +150,10 @@ def load_map(path) -> list[int]:
         raise ParseError(err.msg, position=f"char {err.pos}") from None
     if not isinstance(obj, dict) or "map" not in obj or not isinstance(obj["map"], list):
         raise ParseError('expected an object with a "map" list')
-    return [int(v) for v in obj["map"]]
+    table = obj["map"]
+    for i, v in enumerate(table):
+        # bool is an int subclass; a float entry must be integral (not nan/inf)
+        integral = isinstance(v, int) or (isinstance(v, float) and v.is_integer())
+        if isinstance(v, bool) or not integral:
+            raise ParseError(f"map entry {v!r} is not an integer", position=f"map[{i}]")
+    return [int(v) for v in table]

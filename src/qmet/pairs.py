@@ -7,8 +7,11 @@ conjugation
 
     f1'(x) = max_y (d(y, x) - f2(y))+      f2'(x) = max_y (d(x, y) - f1(y))+
 
-and the projection onto them is the limit of repeatedly averaging a pair
-with its double conjugate.  The hull carries the quasi-metric
+The conjugations ``star`` (least f2 for f1) and ``flat`` (least f1 for f2)
+form an antitone Galois connection, so ``retract`` sends any g >= 0 exactly
+onto the hull point (flat(star(g)), star(g)); sampled net points come from
+it.  Generic ample pairs are projected by repeatedly averaging a pair with
+its double conjugate.  The hull carries the quasi-metric
 
     D(f, g) = max( max_x (f1 - g1)+ , max_x (g2 - f2)+ ),
 
@@ -87,11 +90,37 @@ def _require_ample(f: AmplePair, tol: float = AMPLE_TOL):
         raise NotAmple(worst)
 
 
-def _star_arrays(d: np.ndarray, F1: np.ndarray, F2: np.ndarray):
-    # F* on a batch: leading axes are batch, last axis is the point index.
-    S1 = np.maximum((d - F2[..., :, None]).max(axis=-2), 0.0)
-    S2 = np.maximum((d - F1[..., None, :]).max(axis=-1), 0.0)
-    return S1, S2
+# Batched kernel: leading axes are the batch, the last axis is the point index.
+def star(d: np.ndarray, F1: np.ndarray) -> np.ndarray:
+    """The least f2 making (f1, f2) ample: f2(x) = max_y (d(x,y) - f1(y))+."""
+    return np.maximum((d - F1[..., None, :]).max(axis=-1), 0.0)
+
+
+def flat(d: np.ndarray, F2: np.ndarray) -> np.ndarray:
+    """The least f1 making (f1, f2) ample: f1(y) = max_x (d(x,y) - f2(x))+."""
+    return np.maximum((d - F2[..., :, None]).max(axis=-2), 0.0)
+
+
+def dsym(F1: np.ndarray, F2: np.ndarray, G1: np.ndarray, G2: np.ndarray) -> np.ndarray:
+    """Symmetrized hull distance max(||f1 - g1||, ||f2 - g2||) of broadcast stacks."""
+    # one broadcast temporary at a time, made absolute in place
+    up = F1 - G1
+    up = np.abs(up, out=up).max(axis=-1)
+    down = F2 - G2
+    return np.maximum(up, np.abs(down, out=down).max(axis=-1))
+
+
+def retract(d: np.ndarray, G: np.ndarray):
+    """Hull points (flat(star(g)), star(g)) for g >= 0; returns (P1, P2, residuals).
+
+    The exact projection of the completion (g, star(g)), with no iteration.
+    P1 is clamped by G, so the result sits entrywise below (g, star(g));
+    ``residuals`` is each row's measured double-conjugation residual.
+    """
+    P2 = star(d, G)
+    S1 = flat(d, P2)
+    P1 = np.minimum(S1, G)
+    return P1, P2, dsym(P1, P2, S1, star(d, P1))
 
 
 def double_conjugate(f: AmplePair) -> AmplePair:
@@ -101,8 +130,7 @@ def double_conjugate(f: AmplePair) -> AmplePair:
     f* itself need not be ample.
     """
     _require_ample(f)
-    s1, s2 = _star_arrays(f.space.d, f.f1, f.f2)
-    return AmplePair(f.space, s1, s2)
+    return AmplePair(f.space, flat(f.space.d, f.f2), star(f.space.d, f.f1))
 
 
 def project_arrays(
@@ -112,22 +140,24 @@ def project_arrays(
     tol: float = PROJECTION_TOL,
     max_iter: int = PROJECTION_MAX_ITER,
 ):
-    """Batched hull projection; returns (P1, P2, residuals).
+    """Batched hull projection of generic ample pairs; returns (P1, P2, residuals).
 
     Iterates f <- (f + f*)/2 until the worst residual ||f - f*|| drops below
     tol.  The residual halves each round, so max_iter is a formality; if it is
-    ever exhausted above 10*tol, NoConvergence is raised.  Results are clamped
-    by the inputs so "projection never increases a value" holds exactly.
+    ever exhausted above 10*tol, or the residual grows, NoConvergence is
+    raised.  Results are clamped by the inputs so "projection never increases
+    a value" holds exactly.  For completions (F2 = star(F1)) ``retract``
+    reaches the same points without iterating.
     """
     d = space.d
     G1 = np.array(F1, dtype=float)
     G2 = np.array(F2, dtype=float)
     prev_gap = np.inf
-    iterations = 0
     for iterations in range(1, max_iter + 1):
-        S1, S2 = _star_arrays(d, G1, G2)
-        gap = max(np.abs(G1 - S1).max(), np.abs(G2 - S2).max())
-        assert gap <= prev_gap + 1e-12, "projection residual increased"
+        S1, S2 = flat(d, G2), star(d, G1)
+        gap = dsym(G1, G2, S1, S2).max()
+        if not gap <= prev_gap + 1e-12:
+            raise NoConvergence(iterations, float(gap))
         prev_gap = gap
         if gap <= tol:
             break
@@ -138,11 +168,7 @@ def project_arrays(
             raise NoConvergence(max_iter, float(prev_gap))
     np.minimum(G1, F1, out=G1)
     np.minimum(G2, F2, out=G2)
-    S1, S2 = _star_arrays(d, G1, G2)
-    residuals = np.maximum(
-        np.abs(G1 - S1).max(axis=-1), np.abs(G2 - S2).max(axis=-1)
-    )
-    return G1, G2, residuals
+    return G1, G2, dsym(G1, G2, flat(d, G2), star(d, G1))
 
 
 def project_to_hull(
@@ -162,10 +188,8 @@ def project_to_hull(
 
 def in_hull(f: AmplePair, tol: float = CERTIFICATION_TOL) -> bool:
     """True when f is its own double conjugate within tol (minimality)."""
-    _require_ample(f)
     s = double_conjugate(f)
-    res = max(np.abs(f.f1 - s.f1).max(), np.abs(f.f2 - s.f2).max())
-    return bool(res <= tol)
+    return bool(dsym(f.f1, f.f2, s.f1, s.f2) <= tol)
 
 
 def pair_dist(f: AmplePair, g: AmplePair, mode: str = "D") -> float:
@@ -181,9 +205,7 @@ def pair_dist(f: AmplePair, g: AmplePair, mode: str = "D") -> float:
         down = max(0.0, float((g.f2 - f.f2).max()))
         return max(up, down)
     if mode == "Dsym":
-        return float(
-            max(np.abs(f.f1 - g.f1).max(), np.abs(f.f2 - g.f2).max())
-        )
+        return float(dsym(f.f1, f.f2, g.f1, g.f2))
     raise ValueError(f"unknown pair_dist mode {mode!r}")
 
 
@@ -197,15 +219,14 @@ def embed_point(X: QSpace, x: int) -> AmplePair:
         raise IndexOutOfRange(f"point index {x} out of range for n={X.n}")
     f = AmplePair(X, X.d[x, :], X.d[:, x])
     s = double_conjugate(f)
-    res = max(np.abs(f.f1 - s.f1).max(), np.abs(f.f2 - s.f2).max())
-    return replace(f, certified_minimal=True, certified_tol=float(res))
+    res = float(dsym(f.f1, f.f2, s.f1, s.f2))
+    return replace(f, certified_minimal=True, certified_tol=res)
 
 
 def ample_completion(X: QSpace, f1) -> AmplePair:
     """Smallest f2 making (f1, f2) ample: f2(x) = max_y (d(x,y) - f1(y))+."""
     f1 = np.maximum(np.asarray(f1, dtype=float), 0.0)
-    f2 = np.maximum((X.d - f1[None, :]).max(axis=1), 0.0)
-    return AmplePair(X, f1, f2)
+    return AmplePair(X, f1, star(X.d, f1))
 
 
 def extend_from_subspace(X: QSpace, subset, f: AmplePair) -> AmplePair:
@@ -226,8 +247,7 @@ def extend_from_subspace(X: QSpace, subset, f: AmplePair) -> AmplePair:
     s1 = (X.d[iy, :] + f.f1[:, None]).min(axis=0)
     s2 = (f.f2[:, None] + X.d[:, iy].T).min(axis=0)
     out = project_to_hull(AmplePair(X, s1, s2))
-    drift = max(
-        np.abs(out.f1[iy] - f.f1).max(), np.abs(out.f2[iy] - f.f2).max()
-    )
-    assert drift <= 1e-7, f"extension moved subspace values by {drift:.3e}"
+    drift = dsym(out.f1[iy], out.f2[iy], f.f1, f.f2)
+    if not drift <= 1e-7:
+        raise NotMinimal(f"extension moved subspace values by {drift:.3e}")
     return out

@@ -19,6 +19,8 @@ import numpy as np
 
 from .errors import (
     EmptySubset,
+    IndexOutOfRange,
+    LengthMismatch,
     NegativeEntry,
     NonFiniteEntry,
     NonSquareMatrix,
@@ -105,15 +107,12 @@ def validate(matrix, tol: float = TRIANGLE_TOL) -> AxiomReport:
                     if len(violations) >= VIOLATION_CAP:
                         break
 
-    m1 = True
-    for i in range(n):
-        for j in range(i + 1, n):
-            if d[i, j] < tol and d[j, i] < tol:
-                m1 = False
-                if len(violations) < VIOLATION_CAP:
-                    violations.append(
-                        Violation("M1", (i, j), float(max(d[i, j], d[j, i])))
-                    )
+    merged = np.argwhere(np.triu((d < tol) & (d.T < tol), 1))
+    m1 = len(merged) == 0
+    for i, j in merged[: max(VIOLATION_CAP - len(violations), 0)]:
+        violations.append(
+            Violation("M1", (int(i), int(j)), float(max(d[i, j], d[j, i])))
+        )
 
     asym = np.abs(d - d.T)
     m3 = bool((asym <= tol).all())
@@ -209,6 +208,16 @@ def subset_indices(X: QSpace, subset) -> tuple[int, ...]:
         return subset.indices
     idx = tuple(sorted(set(int(i) for i in subset)))
     return SubsetRef(X, idx).indices
+
+
+def map_table(T, n: int, m: int) -> tuple[int, ...]:
+    """Check a function table sending n points into m points; returns it as ints."""
+    T = tuple(int(v) for v in T)
+    if len(T) != n:
+        raise LengthMismatch(f"map table has {len(T)} entries for {n} points")
+    if any(not 0 <= v < m for v in T):
+        raise IndexOutOfRange(f"map table sends a point outside the {m} target points")
+    return T
 
 
 def conjugate(X: QSpace) -> QSpace:

@@ -11,6 +11,7 @@ from qmet import (
     is_isometric,
     metric_diag_check,
     pair_dist,
+    random_qspace,
     sample_hull,
 )
 from qmet.errors import NotMetric
@@ -84,10 +85,14 @@ class TestHullAsQSpace:
         assert np.abs(Q.d - expect).max() <= 1e-6
 
     def test_embeddings_reproduce_base(self):
-        for name in ("sierpinski", "line3", "metric2", "runit5"):
-            X = demo_space(name)
-            Q = hull_as_qspace(sample_hull(X, 30, seed=8))
-            assert np.abs(Q.d[: X.n, : X.n] - X.d).max() <= 1e-9
+        # random_qspace(4, default_rng(2)) is a case where recomputing the
+        # block from the embedded pairs is off by 2 ulps
+        names = ("sierpinski", "line3", "metric2", "runit5")
+        spaces = [(demo_space(name), 30) for name in names]
+        spaces.append((random_qspace(4, np.random.default_rng(2)), 0))
+        for X, k in spaces:
+            Q = hull_as_qspace(sample_hull(X, k, seed=8))
+            assert np.array_equal(Q.d[: X.n, : X.n], X.d)
 
     def test_embedding_only_net_isometric_to_base(self):
         for name in ("sierpinski", "line3", "metric2"):

@@ -8,6 +8,7 @@ import pytest
 from qmet import demo_space, parse_space, space_to_csv, space_to_json
 from qmet.cli import dispatch
 from qmet.errors import ParseError, ValidationError
+from qmet.io import load_map
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "qmet" / "schemas"
 
@@ -74,6 +75,21 @@ class TestParsing:
         X = demo_space("runit5")
         Y = parse_space(space_to_csv(X), fmt="csv")
         assert Y == X
+
+    @pytest.mark.parametrize(
+        "table",
+        ["[0.7, 1]", "[0, true]", '[0, "1"]', "[0, null]", "[NaN, 0]", "[Infinity]"],
+    )
+    def test_map_rejects_non_integers(self, tmp_path, table):
+        p = tmp_path / "map.json"
+        p.write_text(f'{{"map": {table}}}')
+        with pytest.raises(ParseError):
+            load_map(p)
+
+    def test_map_accepts_integral_floats(self, tmp_path):
+        p = tmp_path / "map.json"
+        p.write_text('{"map": [1.0, 0]}')
+        assert load_map(p) == [1, 0]
 
     def test_file_roundtrip(self, tmp_path):
         X = demo_space("line3")
@@ -268,6 +284,16 @@ class TestCLI:
         )
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("table", ["[5, 0]", "[0]", "[-1, 0]"])
+    @pytest.mark.parametrize("command", ["fixpoint", "rough-iso"])
+    def test_bad_map_table_exits_2(self, capsys, demo_files, tmp_path, command, table):
+        mpath = tmp_path / "map.json"
+        mpath.write_text(f'{{"map": {table}}}')
+        spaces = [demo_files["sierpinski"]] * (2 if command == "rough-iso" else 1)
+        code, _, err = self.run(capsys, command, *spaces, "--map", str(mpath))
+        assert code == 2
+        assert err.startswith("error: map table")
 
     def test_missing_file_is_not_a_crash(self, capsys):
         code, _, err = self.run(capsys, "validate", "/nonexistent/space.json")

@@ -24,7 +24,7 @@ from qmet.errors import (
     SpaceMismatch,
     SubsetMismatch,
 )
-from qmet.pairs import AmplePair, ample_completion, project_arrays
+from qmet.pairs import AmplePair, ample_completion, project_arrays, retract, star
 from helpers import qspaces, random_ample_pair
 
 S = demo_space("sierpinski")
@@ -280,3 +280,23 @@ class TestBatchedProjection:
         for _ in range(5):
             f = ample_completion(L3, rng.uniform(0, 4, L3.n))
             assert is_ample(f)[0]
+
+
+class TestRetraction:
+    @given(qspaces(), st.data())
+    def test_matches_averaging_on_completions(self, X, data):
+        rows = data.draw(st.integers(1, 4))
+        entry = st.floats(0.0, 3.0 * X.diam, allow_nan=False, allow_infinity=False)
+        G = np.array(
+            data.draw(st.lists(st.lists(entry, min_size=X.n, max_size=X.n),
+                               min_size=rows, max_size=rows))
+        )
+        scale = max(X.diam, 1.0)
+        S = star(X.d, G)
+        P1, P2, res = retract(X.d, G)
+        A1, A2, _ = project_arrays(X, G, S)
+        assert np.abs(P1 - A1).max() <= 1e-11 * scale
+        assert np.abs(P2 - A2).max() <= 1e-11 * scale
+        # never above the completion (g, star g) it retracts
+        assert (P1 <= G).all() and (P2 <= S).all()
+        assert res.max() <= 4 * np.finfo(float).eps * scale

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from qmet import (
@@ -19,6 +19,8 @@ from qmet import (
     symmetrize,
     validate,
 )
+from qmet.space import VIOLATION_CAP, Violation
+from qmet.tolerances import TRIANGLE_TOL
 from qmet.errors import (
     EmptySubset,
     NegativeEntry,
@@ -33,6 +35,18 @@ from helpers import qspaces
 S = demo_space("sierpinski")
 L3 = demo_space("line3")
 M2 = demo_space("metric2")
+
+
+def m1_loop(d, tol):
+    """Reference for validate's T0 check: every pair i < j with both
+    distances below tol, in loop order."""
+    m1, witnesses = True, []
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            if d[i, j] < tol and d[j, i] < tol:
+                m1 = False
+                witnesses.append(Violation("M1", (i, j), float(max(d[i, j], d[j, i]))))
+    return m1, witnesses
 
 
 class TestValidate:
@@ -70,6 +84,23 @@ class TestValidate:
             validate([[0, -1], [1, 0]])
         with pytest.raises(NonFiniteEntry):
             validate([[0, np.inf], [1, 0]])
+
+    @given(st.integers(2, 30), st.floats(0.0, 1.0), st.integers(0, 2 ** 31 - 1))
+    @example(30, 1.0, 0)  # no triangle violation, 435 merged pairs: M1 alone hits the cap
+    def test_m1_matches_loop(self, n, p_zero, seed):
+        rng = np.random.default_rng(seed)
+        near_zero = rng.choice([0.0, 0.5 * TRIANGLE_TOL], (n, n))
+        far = rng.uniform(0.5, 1.0, (n, n))
+        d = np.where(rng.random((n, n)) < p_zero, near_zero, far)
+        np.fill_diagonal(d, 0.0)
+        r = validate(d)
+        m1, witnesses = m1_loop(d, TRIANGLE_TOL)
+        earlier = [v for v in r.violations if v.axiom in ("M1*", "M2")]
+        assert r.satisfies_M1 == m1
+        assert [v for v in r.violations if v.axiom == "M1"] == witnesses[
+            : max(VIOLATION_CAP - len(earlier), 0)
+        ]
+        assert all(type(i) is int for v in r.violations for i in v.witness)
 
     def test_violations_capped(self):
         # cheap hub shortcuts break every triangle through point 0
