@@ -294,6 +294,18 @@ def cmd_demo(args) -> int:
     return EXIT_OK
 
 
+def _at_least(least: int):
+    """argparse type for an integer (a count or a seed) of at least ``least``."""
+
+    def integer(text: str) -> int:  # argparse names it in "invalid integer value"
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmet", description="finite quasi-metric space toolkit"
@@ -318,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("hull", cmd_hull, help="sample a certified net of the hull")
     p.add_argument("space")
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_at_least(0), default=100)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--matrix", action="store_true", help="print the induced matrix")
     p.add_argument("--tol", type=float, default=TRIANGLE_TOL)
     p.add_argument("--out")
@@ -328,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--exact", action="store_true", help="search without a node budget")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_at_least(1), default=DEFAULT_BUDGET)
     p.add_argument("--witness", help="write a rough-isometry witness JSON here")
     p.add_argument("--tol", type=float, default=TRIANGLE_TOL)
 
@@ -341,9 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("delta", cmd_delta, help="estimate the coarse-injectivity constant")
     p.add_argument("space")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--restarts", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_at_least(1), default=200)
+    p.add_argument("--restarts", type=_at_least(0), default=6)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--tol", type=float, default=TRIANGLE_TOL)
 
     p = add("fixpoint", cmd_fixpoint, help="least displacement of a non-expansive map")

@@ -3,9 +3,10 @@
 The GH distance between two finite (quasi-)metric spaces is half the minimum
 distortion over correspondences.  Any correspondence contains a
 "double graph" sub-correspondence graph(phi) + graph(psi)^T with no larger
-distortion, so the exact search runs branch-and-bound over the two function
-tables.  Arbitrary weight matrices (asymmetric, negative, nonzero diagonal)
-are accepted by ``distortion`` and ``gh_exact``: on such networks the same
+distortion, so the exact search picks one cell (x, y) of the product per
+point, phi's cells first, then psi's, depth first on an explicit stack.
+Arbitrary weight matrices (asymmetric, negative, nonzero diagonal) are
+accepted by ``distortion`` and ``gh_exact``: on such networks the same
 value is the network distance.
 """
 
@@ -80,91 +81,68 @@ class GHResult:
 def gh_exact(X, Y, budget: int | None = DEFAULT_BUDGET) -> GHResult:
     """Half the minimum distortion over correspondences, by branch and bound.
 
-    Candidates at each level are ordered by incremental distortion, so a good
-    leaf is found early and pruning (on >= current best) is aggressive.  With
-    ``budget`` node evaluations exhausted the best bound found so far is
-    returned flagged inexact (the CLI maps that to exit code 3).  Practical
-    for spaces up to about 7 points.
+    Level l < n_X picks the cell (l, phi(l)) and level n_X + j the cell
+    (psi(j), j).  A cell's cost is its worst weight mismatch against the
+    cells already picked; one numpy expression scores a whole level.  Each
+    level keeps the candidates below the incumbent, ordered by (running
+    distortion, index), as an iterator on an explicit stack, so the depth
+    n_X + n_Y costs no Python frames.  Every scored candidate is a node;
+    once ``budget`` nodes are spent the incumbent comes back flagged
+    inexact (the CLI maps that to exit code 3), or the full relation if no
+    leaf was reached.  Cost depends on the data more than on size: two
+    copies of a 510-point line take 520,200 nodes, while random 8-point
+    pairs take a median of ~3e4 nodes and some exceed 2e6.
     """
     wx, wy = _weights(X), _weights(Y)
     nx, ny = len(wx), len(wy)
-    phi = [0] * nx
-    psi = [0] * ny
-    state = {"best": np.inf, "phi": None, "psi": None, "nodes": 0, "aborted": False}
-
-    def inc_phi(i: int, y: int) -> float:
-        m = abs(wx[i, i] - wy[y, y])
-        if i:
-            a = phi[:i]
-            m = max(
-                m,
-                np.abs(wx[i, :i] - wy[y, a]).max(),
-                np.abs(wx[:i, i] - wy[a, y]).max(),
-            )
-        return float(m)
-
-    def inc_psi(j: int, x: int) -> float:
-        m = max(
-            abs(wy[j, j] - wx[x, x]),
-            np.abs(wx[x, :] - wy[j, phi]).max(),
-            np.abs(wx[:, x] - wy[phi, j]).max(),
-        )
-        if j:
-            b = psi[:j]
-            m = max(
-                m,
-                np.abs(wx[x, b] - wy[j, :j]).max(),
-                np.abs(wx[b, x] - wy[:j, j]).max(),
-            )
-        return float(m)
-
-    def descend(level: int, cur: float):
-        if state["aborted"]:
-            return
+    # the cell picked at each level: phi fills cols[:nx], psi fills rows[nx:]
+    rows = np.concatenate([np.arange(nx), np.zeros(ny, dtype=int)])
+    cols = np.concatenate([np.zeros(nx, dtype=int), np.arange(ny)])
+    best, leaf, nodes, aborted = np.inf, None, 0, False
+    stack, cur = [], 0.0
+    while True:
+        level = len(stack)
         if level == nx + ny:
-            state["best"] = cur
-            state["phi"] = list(phi)
-            state["psi"] = list(psi)
-            return
-        on_phi = level < nx
-        i = level if on_phi else level - nx
-        width = ny if on_phi else nx
-        cands = []
-        for v in range(width):
-            state["nodes"] += 1
-            if budget is not None and state["nodes"] > budget:
-                state["aborted"] = True
-                return
-            m = inc_phi(i, v) if on_phi else inc_psi(i, v)
-            new = max(cur, m)
-            if new < state["best"]:
-                cands.append((new, v))
-        cands.sort()
-        for new, v in cands:
-            if new >= state["best"]:
-                break
-            if on_phi:
-                phi[i] = v
+            best, leaf = cur, set(zip(rows.tolist(), cols.tolist()))
+        else:
+            if level < nx:
+                xs, ys = np.full(ny, level), np.arange(ny)
             else:
-                psi[i] = v
-            descend(level + 1, new)
-            if state["aborted"]:
-                return
-
-    descend(0, 0.0)
-    if state["phi"] is None:
-        # budget died before any leaf: fall back to the full relation
-        state["phi"] = [0] * nx
-        state["psi"] = [0] * ny
+                xs, ys = np.arange(nx), np.full(nx, level - nx)
+            if budget is not None and nodes + len(xs) > budget:
+                nodes, aborted = max(nodes, budget) + 1, True
+                break
+            nodes += len(xs)
+            a, b = rows[:level], cols[:level]
+            cost = np.maximum.reduce([
+                np.abs(wx[xs, xs] - wy[ys, ys]),
+                np.abs(wx[np.ix_(xs, a)] - wy[np.ix_(ys, b)]).max(axis=1, initial=0.0),
+                np.abs(wx[np.ix_(a, xs)] - wy[np.ix_(b, ys)]).max(axis=0, initial=0.0),
+            ])
+            new = np.maximum(cost, cur)
+            keep = np.flatnonzero(new < best)
+            keep = keep[np.lexsort((keep, new[keep]))]
+            stack.append(iter(zip(new[keep].tolist(), keep.tolist())))
+        # pop the next candidate that can still beat the incumbent
+        while stack:
+            cur, v = next(stack[-1], (np.inf, 0))
+            if cur < best:
+                break
+            stack.pop()
+        else:
+            break
+        level = len(stack) - 1
+        if level < nx:
+            cols[level] = v
+        else:
+            rows[level] = v
+    if leaf is None:
         full = Correspondence(
             X, Y, tuple((i, j) for i in range(nx) for j in range(ny))
         )
-        return GHResult(distortion(full) / 2.0, full, False, state["nodes"])
-    pairs = {(i, state["phi"][i]) for i in range(nx)}
-    pairs |= {(state["psi"][j], j) for j in range(ny)}
-    R = Correspondence(X, Y, tuple(sorted(pairs)))
+        return GHResult(distortion(full) / 2.0, full, False, nodes)
     return GHResult(
-        float(state["best"]) / 2.0, R, not state["aborted"], state["nodes"]
+        float(best) / 2.0, Correspondence(X, Y, tuple(leaf)), not aborted, nodes
     )
 
 

@@ -98,13 +98,8 @@ def sample_hull(X: QSpace, k: int, seed: int = 0) -> HullSample:
     return HullSample(X, tuple(points), seed, float(gaps.min()))
 
 
-def hull_as_qspace(H: HullSample) -> QSpace:
-    """The net as a finite quasi-metric space under the hull quasi-metric.
-
-    The first rows/columns reproduce the base space exactly (the point
-    embedding is isometric, and the block is written from the base matrix
-    rather than recomputed with rounding); dedup keeps the matrix T0.
-    """
+def _net_matrix(H: HullSample) -> np.ndarray:
+    """Hull quasi-metric among the net points, base matrix in the first block."""
     F1, F2 = _stack(H.points)
     D = np.maximum(
         np.maximum((F1[:, None, :] - F1[None, :, :]).max(axis=2), 0.0),
@@ -112,10 +107,20 @@ def hull_as_qspace(H: HullSample) -> QSpace:
     )
     n = H.space.n
     D[:n, :n] = H.space.d
+    return D
+
+
+def hull_as_qspace(H: HullSample) -> QSpace:
+    """The net as a finite quasi-metric space under the hull quasi-metric.
+
+    The first rows/columns reproduce the base space exactly (the point
+    embedding is isometric, and the block is written from the base matrix
+    rather than recomputed with rounding); dedup keeps the matrix T0.
+    """
     labels = list(H.space.labels) + [
-        f"s{i}" for i in range(len(H.points) - n)
+        f"s{i}" for i in range(len(H.points) - H.space.n)
     ]
-    return QSpace(D, labels)
+    return QSpace(_net_matrix(H), labels)
 
 
 @dataclass(frozen=True)
@@ -168,9 +173,8 @@ def net_gh_upper(HX: HullSample, HY: HullSample) -> float:
         T1, T2 = _stack(target.points)
         return dsym(P1[:, None, :], P2[:, None, :], T1, T2).argmin(axis=1).tolist()
 
-    DX = hull_as_qspace(HX)
-    DY = hull_as_qspace(HY)
     pairs = list(enumerate(snapped(HX, HY, eta / 2.0)))
     pairs += [(i, j) for j, i in enumerate(snapped(HY, HX, eta / 2.0))]
-    R = Correspondence(DX, DY, tuple(sorted(set(pairs))))
+    # the net matrices are valid by construction: compare them as networks
+    R = Correspondence(_net_matrix(HX), _net_matrix(HY), tuple(sorted(set(pairs))))
     return distortion(R) / 2.0

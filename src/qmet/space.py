@@ -334,7 +334,8 @@ def _profiles(X: QSpace) -> list[tuple[np.ndarray, np.ndarray]]:
 def is_isometric(X: QSpace, Y: QSpace, tol: float = 1e-9) -> list[int] | None:
     """Search for a bijection pi with d_Y(pi x, pi y) = d_X(x, y) within tol.
 
-    Backtracking over points ordered by candidate count; candidates are pruned
+    Backtracking over points ordered by candidate count, with one candidate
+    iterator per placed point on an explicit stack; candidates are pruned
     by sorted out/in distance profiles.  Returns the permutation (X index ->
     Y index) or None.
     """
@@ -358,32 +359,32 @@ def is_isometric(X: QSpace, Y: QSpace, tol: float = 1e-9) -> list[int] | None:
     perm = [-1] * n
     used = [False] * n
 
-    def extend(pos: int) -> bool:
-        if pos == n:
-            return True
-        i = order[pos]
-        for j in cand[i]:
-            if used[j]:
-                continue
-            ok = True
-            for q in range(pos):
-                p = order[q]
-                if (
-                    abs(X.d[i, p] - Y.d[j, perm[p]]) > tol
-                    or abs(X.d[p, i] - Y.d[perm[p], j]) > tol
-                ):
-                    ok = False
-                    break
-            if ok:
-                perm[i] = j
-                used[j] = True
-                if extend(pos + 1):
-                    return True
-                perm[i] = -1
-                used[j] = False
-        return False
+    def fits(i: int, j: int, placed) -> bool:
+        return not any(
+            abs(X.d[i, p] - Y.d[j, perm[p]]) > tol
+            or abs(X.d[p, i] - Y.d[perm[p], j]) > tol
+            for p in placed
+        )
 
-    return perm if extend(0) else None
+    stack = [iter(cand[order[0]])]
+    while stack:
+        pos = len(stack) - 1
+        i = order[pos]
+        if perm[i] >= 0:  # back from a dead end: free this point's last choice
+            used[perm[i]] = False
+            perm[i] = -1
+        j = next(
+            (j for j in stack[-1] if not used[j] and fits(i, j, order[:pos])), None
+        )
+        if j is None:
+            stack.pop()
+            continue
+        perm[i] = j
+        used[j] = True
+        if pos + 1 == n:
+            return perm
+        stack.append(iter(cand[order[pos + 1]]))
+    return None
 
 
 def triangle_closure(matrix) -> np.ndarray:

@@ -4,6 +4,7 @@ import hypothesis.strategies as st
 import numpy as np
 
 from qmet import QSpace, ample_completion, random_qspace, triangle_closure
+from qmet.gh import DEFAULT_BUDGET, Correspondence, GHResult, distortion
 from qmet.pairs import AmplePair
 
 
@@ -88,3 +89,134 @@ def brute_gh(X, Y):
 def rng_spaces(count, n, seed, scale=1.0, symmetric=False):
     rng = np.random.default_rng(seed)
     return [random_qspace(n, rng, scale=scale, symmetric=symmetric) for _ in range(count)]
+
+
+def reference_gh(X, Y, budget=DEFAULT_BUDGET):
+    """The recursive branch and bound that ``gh_exact`` replaced, kept as
+    its reference: same levels, candidate order, pruning and node count,
+    one Python frame per level and one numpy reduction per candidate."""
+    wx = X.d if isinstance(X, QSpace) else np.asarray(X, dtype=float)
+    wy = Y.d if isinstance(Y, QSpace) else np.asarray(Y, dtype=float)
+    nx, ny = len(wx), len(wy)
+    phi = [0] * nx
+    psi = [0] * ny
+    state = {"best": np.inf, "phi": None, "psi": None, "nodes": 0, "aborted": False}
+
+    def inc_phi(i, y):
+        m = abs(wx[i, i] - wy[y, y])
+        if i:
+            a = phi[:i]
+            m = max(
+                m,
+                np.abs(wx[i, :i] - wy[y, a]).max(),
+                np.abs(wx[:i, i] - wy[a, y]).max(),
+            )
+        return float(m)
+
+    def inc_psi(j, x):
+        m = max(
+            abs(wy[j, j] - wx[x, x]),
+            np.abs(wx[x, :] - wy[j, phi]).max(),
+            np.abs(wx[:, x] - wy[phi, j]).max(),
+        )
+        if j:
+            b = psi[:j]
+            m = max(
+                m,
+                np.abs(wx[x, b] - wy[j, :j]).max(),
+                np.abs(wx[b, x] - wy[:j, j]).max(),
+            )
+        return float(m)
+
+    def descend(level, cur):
+        if state["aborted"]:
+            return
+        if level == nx + ny:
+            state["best"] = cur
+            state["phi"] = list(phi)
+            state["psi"] = list(psi)
+            return
+        on_phi = level < nx
+        i = level if on_phi else level - nx
+        width = ny if on_phi else nx
+        cands = []
+        for v in range(width):
+            state["nodes"] += 1
+            if budget is not None and state["nodes"] > budget:
+                state["aborted"] = True
+                return
+            m = inc_phi(i, v) if on_phi else inc_psi(i, v)
+            new = max(cur, m)
+            if new < state["best"]:
+                cands.append((new, v))
+        cands.sort()
+        for new, v in cands:
+            if new >= state["best"]:
+                break
+            if on_phi:
+                phi[i] = v
+            else:
+                psi[i] = v
+            descend(level + 1, new)
+            if state["aborted"]:
+                return
+
+    descend(0, 0.0)
+    if state["phi"] is None:
+        full = Correspondence(X, Y, tuple((i, j) for i in range(nx) for j in range(ny)))
+        return GHResult(distortion(full) / 2.0, full, False, state["nodes"])
+    pairs = {(i, state["phi"][i]) for i in range(nx)}
+    pairs |= {(state["psi"][j], j) for j in range(ny)}
+    R = Correspondence(X, Y, tuple(sorted(pairs)))
+    return GHResult(float(state["best"]) / 2.0, R, not state["aborted"], state["nodes"])
+
+
+def reference_is_isometric(X, Y, tol=1e-9):
+    """The recursive backtracking that ``is_isometric`` replaced, kept as its
+    reference: same profile pruning, point order and candidate order."""
+    if X.n != Y.n:
+        return None
+    n = X.n
+    px = [(np.sort(X.d[i, :]), np.sort(X.d[:, i])) for i in range(n)]
+    py = [(np.sort(Y.d[i, :]), np.sort(Y.d[:, i])) for i in range(n)]
+    cand = []
+    for i in range(n):
+        row = [
+            j
+            for j in range(n)
+            if np.abs(px[i][0] - py[j][0]).max() <= tol
+            and np.abs(px[i][1] - py[j][1]).max() <= tol
+        ]
+        if not row:
+            return None
+        cand.append(row)
+    order = sorted(range(n), key=lambda i: len(cand[i]))
+    perm = [-1] * n
+    used = [False] * n
+
+    def extend(pos):
+        if pos == n:
+            return True
+        i = order[pos]
+        for j in cand[i]:
+            if used[j]:
+                continue
+            ok = True
+            for q in range(pos):
+                p = order[q]
+                if (
+                    abs(X.d[i, p] - Y.d[j, perm[p]]) > tol
+                    or abs(X.d[p, i] - Y.d[perm[p], j]) > tol
+                ):
+                    ok = False
+                    break
+            if ok:
+                perm[i] = j
+                used[j] = True
+                if extend(pos + 1):
+                    return True
+                perm[i] = -1
+                used[j] = False
+        return False
+
+    return perm if extend(0) else None

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,14 @@ from qmet import (
     verify_rough_isometry,
 )
 from qmet.errors import EpsTooSmall, NotACorrespondence
-from helpers import brute_gh, permuted_copy, qspaces, rng_spaces
+from helpers import (
+    brute_gh,
+    permuted_copy,
+    qspaces,
+    reference_gh,
+    reference_is_isometric,
+    rng_spaces,
+)
 
 S = demo_space("sierpinski")
 M2 = demo_space("metric2")
@@ -105,6 +114,58 @@ class TestGHExact:
         r = gh_exact(A, B, budget=10)
         assert not r.exact
         assert r.value >= gh_exact(A, B).value - 1e-12
+
+
+def gh_key(r):
+    return r.value, r.exact, r.nodes, r.correspondence.pairs
+
+
+@st.composite
+def networks(draw):
+    """Raw weight matrices: asymmetric, signed, nonzero diagonal."""
+    n = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2 ** 31 - 1))
+    return np.random.default_rng(seed).normal(size=(n, n))
+
+
+class TestGHAgainstReference:
+    @given(qspaces(min_n=1, max_n=5), qspaces(min_n=1, max_n=5))
+    def test_spaces(self, X, Y):
+        assert gh_key(gh_exact(X, Y)) == gh_key(reference_gh(X, Y))
+
+    @given(networks(), networks())
+    def test_networks(self, wa, wb):
+        assert gh_key(gh_exact(wa, wb)) == gh_key(reference_gh(wa, wb))
+
+    @given(qspaces(max_n=6), qspaces(max_n=6), st.integers(1, 400))
+    def test_budgets(self, X, Y, budget):
+        got = gh_exact(X, Y, budget=budget)
+        assert gh_key(got) == gh_key(reference_gh(X, Y, budget=budget))
+        assert got.exact or got.nodes == budget + 1
+
+
+def line(n):
+    x = np.arange(n, dtype=float)
+    return QSpace(np.abs(x[:, None] - x[None, :]))
+
+
+def test_deep_inputs_need_no_recursion():
+    # a recursive search needs one frame per level: 80 for gh_exact on two
+    # 40-point spaces, 100 for is_isometric on 100 points
+    L40, L100 = line(40), line(100)
+    Y, _ = permuted_copy(L100, np.random.default_rng(3))
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        r = gh_exact(L40, L40, budget=10_000)
+        found = is_isometric(L100, Y)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert r.exact and r.value == 0.0
+    assert found is not None and found == reference_is_isometric(L100, Y)
 
 
 class TestGlue:

@@ -10,12 +10,13 @@ from qmet import (
     in_hull,
     is_isometric,
     metric_diag_check,
+    net_gh_upper,
     pair_dist,
     random_qspace,
     sample_hull,
 )
 from qmet.errors import NotMetric
-from helpers import qspaces
+from helpers import perturbed_space, qspaces
 
 S = demo_space("sierpinski")
 M2 = demo_space("metric2")
@@ -149,3 +150,14 @@ class TestDiagonal:
         assert rep.n_off_diagonal >= 1
         assert rep.max_minimality_residual <= 1e-7
         assert rep.max_metric_discrepancy <= 1e-7
+
+
+class TestNetGHUpper:
+    def test_pinned_value(self):
+        # the bound compares the raw net matrices; the value is pinned to
+        # the one computed on validated QSpace copies of them
+        rng = np.random.default_rng(4)
+        X = random_qspace(5, rng)
+        Y = perturbed_space(X, rng, 0.1)
+        value = net_gh_upper(sample_hull(X, 40, seed=1), sample_hull(Y, 40, seed=2))
+        assert value == 0.2660268606298291

@@ -300,6 +300,24 @@ class TestCLI:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hull", "sierpinski", "--samples", "-1"],
+            ["delta", "sierpinski", "--samples", "0"],
+            ["delta", "sierpinski", "--restarts", "-3"],
+            ["gh", "sierpinski", "metric2", "--budget", "-5"],
+            ["hull", "sierpinski", "--seed", "-1"],
+            ["delta", "sierpinski", "--seed", "-1"],
+        ],
+    )
+    def test_bad_count_is_a_usage_error(self, capsys, demo_files, argv):
+        argv = [demo_files.get(a, a) for a in argv]
+        with pytest.raises(SystemExit) as err:
+            dispatch(argv)
+        assert err.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
     def test_unknown_flag_rejected(self, demo_files):
         with pytest.raises(SystemExit):
             dispatch(["validate", demo_files["sierpinski"], "--frobnicate"])

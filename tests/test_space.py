@@ -29,7 +29,7 @@ from qmet.errors import (
     SizeOverflow,
     ValidationError,
 )
-from helpers import qspaces
+from helpers import permuted_copy, qspaces, reference_is_isometric
 
 
 S = demo_space("sierpinski")
@@ -273,3 +273,15 @@ class TestIsometric:
         assert fwd is not None and back is not None
         for i in range(X.n):
             assert X.d[i, i] == Y.d[fwd[i], fwd[i]]
+
+    @given(qspaces(min_n=1, max_n=6), st.integers(0, 2 ** 31 - 1), st.booleans())
+    def test_matches_recursive_reference(self, X, seed, ties):
+        # distances 1 and 2 always satisfy the triangle inequality, and their
+        # many ties make the search backtrack, also on unrelated spaces
+        rng = np.random.default_rng(seed)
+        ones_twos = lambda: QSpace(rng.integers(1, 3, (X.n, X.n)) * (1.0 - np.eye(X.n)))
+        if ties:
+            X = ones_twos()
+        Y, _ = permuted_copy(X, rng)
+        for Z in (Y, ones_twos()):
+            assert is_isometric(X, Z) == reference_is_isometric(X, Z)

@@ -15,3 +15,18 @@ def test_no_assert_in_library():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_no_recursion_in_library():
+    # recursion depth grows with the input, past Python's frame limit
+    found = [
+        f"{path.stem}.{func.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for func in ast.walk(ast.parse(path.read_text()))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == func.name
+    ]
+    assert found == []
