@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -306,6 +307,17 @@ def _at_least(least: int):
     return integer
 
 
+def _tolerance(text: str) -> float:
+    """argparse type for --tol: a finite float of at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:  # also false for nan
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmet", description="finite quasi-metric space toolkit"
@@ -320,12 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("validate", cmd_validate, help="classify a distance matrix")
     p.add_argument("space")
-    p.add_argument("--tol", type=float, default=TRIANGLE_TOL)
+    p.add_argument("--tol", type=_tolerance, default=TRIANGLE_TOL)
 
     p = add("transform", cmd_transform, help="conjugate or symmetrize a space")
     p.add_argument("space")
     p.add_argument("--mode", choices=["conjugate", "symmetrize"], required=True)
-    p.add_argument("--tol", type=float, default=TRIANGLE_TOL)
+    p.add_argument("--tol", type=_tolerance, default=TRIANGLE_TOL)
     p.add_argument("--out")
 
     p = add("hull", cmd_hull, help="sample a certified net of the hull")
@@ -333,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_at_least(0), default=100)
     p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--matrix", action="store_true", help="print the induced matrix")
-    p.add_argument("--tol", type=float, default=TRIANGLE_TOL)
+    p.add_argument("--tol", type=_tolerance, default=TRIANGLE_TOL)
     p.add_argument("--out")
 
     p = add("gh", cmd_gh, help="exact GH distance between two spaces")
@@ -342,26 +354,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", action="store_true", help="search without a node budget")
     p.add_argument("--budget", type=_at_least(1), default=DEFAULT_BUDGET)
     p.add_argument("--witness", help="write a rough-isometry witness JSON here")
-    p.add_argument("--tol", type=float, default=TRIANGLE_TOL)
+    p.add_argument("--tol", type=_tolerance, default=TRIANGLE_TOL)
 
     p = add("rough-iso", cmd_rough_iso, help="verify or derive a rough isometry")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--map", help="JSON map table to verify; omitted: derive from solver")
     p.add_argument("--witness", help="write the witness JSON here")
-    p.add_argument("--tol", type=float, default=TRIANGLE_TOL)
+    p.add_argument("--tol", type=_tolerance, default=TRIANGLE_TOL)
 
     p = add("delta", cmd_delta, help="estimate the coarse-injectivity constant")
     p.add_argument("space")
     p.add_argument("--samples", type=_at_least(1), default=200)
     p.add_argument("--restarts", type=_at_least(0), default=6)
     p.add_argument("--seed", type=_at_least(0), default=0)
-    p.add_argument("--tol", type=float, default=TRIANGLE_TOL)
+    p.add_argument("--tol", type=_tolerance, default=TRIANGLE_TOL)
 
     p = add("fixpoint", cmd_fixpoint, help="least displacement of a non-expansive map")
     p.add_argument("space")
     p.add_argument("--map", required=True)
-    p.add_argument("--tol", type=float, default=TRIANGLE_TOL)
+    p.add_argument("--tol", type=_tolerance, default=TRIANGLE_TOL)
 
     p = add("demo", cmd_demo, help="built-in demo spaces")
     p.add_argument("name", help="'list' or a demo name")

@@ -15,6 +15,7 @@ from .errors import NotMetric
 from .gh import Correspondence, distortion
 from .pairs import (
     AmplePair,
+    dquasi,
     dsym,
     embed_point,
     flat,
@@ -63,18 +64,20 @@ def sample_hull(X: QSpace, k: int, seed: int = 0) -> HullSample:
         raise ValueError("k must be >= 0")
     rng = np.random.default_rng(seed)
     points = [embed_point(X, i) for i in range(X.n)]
-    F1, F2 = _stack(points)
+    # the pool of accepted points, grown in place; rows [:len(points)] are live
+    B1 = np.empty((X.n + k, X.n))
+    B2 = np.empty((X.n + k, X.n))
+    B1[: X.n], B2[: X.n] = _stack(points)
     R = X.diam
 
     def try_add(f1, f2, res) -> bool:
-        nonlocal F1, F2
-        if dsym(F1, F2, f1, f2).min() < DEDUP_TOL:
+        m = len(points)
+        if dsym(B1[:m], B2[:m], f1, f2).min() < DEDUP_TOL:
             return False
         points.append(
             AmplePair(X, f1, f2, certified_minimal=True, certified_tol=float(res))
         )
-        F1 = np.vstack([F1, f1[None, :]])
-        F2 = np.vstack([F2, f2[None, :]])
+        B1[m], B2[m] = f1, f2
         return True
 
     if k > 0 and R > 0.0:
@@ -88,11 +91,12 @@ def sample_hull(X: QSpace, k: int, seed: int = 0) -> HullSample:
         floor = R * 2.0 ** -30
         for _ in range(k - n_fresh):
             base = int(rng.integers(0, len(points)))
-            g1 = np.maximum(F1[base] + rng.uniform(-radius, radius, size=X.n), 0.0)
+            g1 = np.maximum(B1[base] + rng.uniform(-radius, radius, size=X.n), 0.0)
             p1, p2, res = retract(X.d, g1)
             if not try_add(p1, p2, res) and radius > floor:
                 radius /= 2.0
 
+    F1, F2 = B1[: len(points)], B2[: len(points)]
     gaps = dsym(F1[:, None, :], F2[:, None, :], F1, F2)
     np.fill_diagonal(gaps, np.inf)
     return HullSample(X, tuple(points), seed, float(gaps.min()))
@@ -101,10 +105,7 @@ def sample_hull(X: QSpace, k: int, seed: int = 0) -> HullSample:
 def _net_matrix(H: HullSample) -> np.ndarray:
     """Hull quasi-metric among the net points, base matrix in the first block."""
     F1, F2 = _stack(H.points)
-    D = np.maximum(
-        np.maximum((F1[:, None, :] - F1[None, :, :]).max(axis=2), 0.0),
-        np.maximum((F2[None, :, :] - F2[:, None, :]).max(axis=2), 0.0),
-    )
+    D = dquasi(F1[:, None, :], F2[:, None, :], F1, F2)
     n = H.space.n
     D[:n, :n] = H.space.d
     return D

@@ -16,6 +16,10 @@ its double conjugate.  The hull carries the quasi-metric
     D(f, g) = max( max_x (f1 - g1)+ , max_x (g2 - f2)+ ),
 
 whose symmetrization is the sup-norm distance on both components.
+
+Stacks of pairs are batch-first (leading axes are the batch, the last axis
+is the point index), and the kernel reduces over the point axis moved to
+the front.
 """
 
 from __future__ import annotations
@@ -90,24 +94,38 @@ def _require_ample(f: AmplePair, tol: float = AMPLE_TOL):
         raise NotAmple(worst)
 
 
-# Batched kernel: leading axes are the batch, the last axis is the point index.
+def _lead(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A - B of broadcast stacks, axes reversed and C-ordered: the point axis
+    leads, so ``.max(axis=0)`` takes whole-slab maxima (numpy reduces a short
+    trailing axis one output entry at a time); ``.T`` restores batch-first."""
+    nd = max(A.ndim, B.ndim)
+    A, B = A[(None,) * (nd - A.ndim)], B[(None,) * (nd - B.ndim)]
+    return np.subtract(A.T, B.T, order="C")
+
+
 def star(d: np.ndarray, F1: np.ndarray) -> np.ndarray:
     """The least f2 making (f1, f2) ample: f2(x) = max_y (d(x,y) - f1(y))+."""
-    return np.maximum((d - F1[..., None, :]).max(axis=-1), 0.0)
+    return np.maximum(_lead(d, F1[..., None, :]).max(axis=0).T, 0.0)
 
 
 def flat(d: np.ndarray, F2: np.ndarray) -> np.ndarray:
     """The least f1 making (f1, f2) ample: f1(y) = max_x (d(x,y) - f2(x))+."""
-    return np.maximum((d - F2[..., :, None]).max(axis=-2), 0.0)
+    return np.maximum(_lead(d.T, F2[..., None, :]).max(axis=0).T, 0.0)
 
 
 def dsym(F1: np.ndarray, F2: np.ndarray, G1: np.ndarray, G2: np.ndarray) -> np.ndarray:
     """Symmetrized hull distance max(||f1 - g1||, ||f2 - g2||) of broadcast stacks."""
     # one broadcast temporary at a time, made absolute in place
-    up = F1 - G1
-    up = np.abs(up, out=up).max(axis=-1)
-    down = F2 - G2
-    return np.maximum(up, np.abs(down, out=down).max(axis=-1))
+    up = _lead(F1, G1)
+    up = np.abs(up, out=up).max(axis=0)
+    down = _lead(F2, G2)
+    return np.maximum(up, np.abs(down, out=down).max(axis=0)).T
+
+
+def dquasi(F1: np.ndarray, F2: np.ndarray, G1: np.ndarray, G2: np.ndarray) -> np.ndarray:
+    """Hull quasi-metric max(max (f1 - g1)+, max (g2 - f2)+) of broadcast stacks."""
+    up = np.maximum(_lead(F1, G1).max(axis=0), 0.0)
+    return np.maximum(up, np.maximum(_lead(G2, F2).max(axis=0), 0.0)).T
 
 
 def retract(d: np.ndarray, G: np.ndarray):
@@ -201,9 +219,7 @@ def pair_dist(f: AmplePair, g: AmplePair, mode: str = "D") -> float:
     if f.space is not g.space and not np.array_equal(f.space.d, g.space.d):
         raise SpaceMismatch("pairs live on different spaces")
     if mode == "D":
-        up = max(0.0, float((f.f1 - g.f1).max()))
-        down = max(0.0, float((g.f2 - f.f2).max()))
-        return max(up, down)
+        return float(dquasi(f.f1, f.f2, g.f1, g.f2))
     if mode == "Dsym":
         return float(dsym(f.f1, f.f2, g.f1, g.f2))
     raise ValueError(f"unknown pair_dist mode {mode!r}")

@@ -327,8 +327,24 @@ def asym_defect(X: QSpace) -> float:
     return float(np.abs(X.d - X.d.T).max() / 2.0)
 
 
-def _profiles(X: QSpace) -> list[tuple[np.ndarray, np.ndarray]]:
-    return [(np.sort(X.d[i, :]), np.sort(X.d[:, i])) for i in range(X.n)]
+def _candidates(X: QSpace, Y: QSpace, tol: float) -> list[list[int]]:
+    """For each x, the y (ascending) whose sorted out- and in-distance
+    profiles both match those of x within tol in the sup norm."""
+    out_x, in_x = np.sort(X.d, axis=1), np.sort(X.d.T, axis=1)
+    out_y, in_y = np.sort(Y.d, axis=1), np.sort(Y.d.T, axis=1)
+    # the largest profile entry is 1-Lipschitz in the sup norm, so this
+    # prefilter never drops a candidate the exact check would keep
+    near = (np.abs(out_x[:, -1:] - out_y[:, -1]) <= tol) & (
+        np.abs(in_x[:, -1:] - in_y[:, -1]) <= tol
+    )
+    cand = []
+    for i, row in enumerate(near):
+        js = np.flatnonzero(row)
+        keep = (np.abs(out_x[i] - out_y[js]).max(axis=1) <= tol) & (
+            np.abs(in_x[i] - in_y[js]).max(axis=1) <= tol
+        )
+        cand.append(js[keep].tolist())
+    return cand
 
 
 def is_isometric(X: QSpace, Y: QSpace, tol: float = 1e-9) -> list[int] | None:
@@ -342,19 +358,9 @@ def is_isometric(X: QSpace, Y: QSpace, tol: float = 1e-9) -> list[int] | None:
     if X.n != Y.n:
         return None
     n = X.n
-    px = _profiles(X)
-    py = _profiles(Y)
-    cand = []
-    for i in range(n):
-        row = [
-            j
-            for j in range(n)
-            if np.abs(px[i][0] - py[j][0]).max() <= tol
-            and np.abs(px[i][1] - py[j][1]).max() <= tol
-        ]
-        if not row:
-            return None
-        cand.append(row)
+    cand = _candidates(X, Y, tol)
+    if not all(cand):
+        return None
     order = sorted(range(n), key=lambda i: len(cand[i]))
     perm = [-1] * n
     used = [False] * n

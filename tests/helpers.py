@@ -220,3 +220,49 @@ def reference_is_isometric(X, Y, tol=1e-9):
         return False
 
     return perm if extend(0) else None
+
+
+# The pair kernel as it was written before it reduced over a leading point
+# axis: the same subtractions, reduced over the trailing axis.  References
+# that the kernel must match bit for bit.
+def reference_star(d, F1):
+    return np.maximum((d - F1[..., None, :]).max(axis=-1), 0.0)
+
+
+def reference_flat(d, F2):
+    return np.maximum((d - F2[..., :, None]).max(axis=-2), 0.0)
+
+
+def reference_dsym(F1, F2, G1, G2):
+    up = F1 - G1
+    up = np.abs(up, out=up).max(axis=-1)
+    down = F2 - G2
+    return np.maximum(up, np.abs(down, out=down).max(axis=-1))
+
+
+def reference_net_matrix(H):
+    F1 = np.stack([p.f1 for p in H.points])
+    F2 = np.stack([p.f2 for p in H.points])
+    D = np.maximum(
+        np.maximum((F1[:, None, :] - F1[None, :, :]).max(axis=2), 0.0),
+        np.maximum((F2[None, :, :] - F2[:, None, :]).max(axis=2), 0.0),
+    )
+    n = H.space.n
+    D[:n, :n] = H.space.d
+    return D
+
+
+def reference_candidates(X, Y, tol):
+    """The double loop that built ``is_isometric``'s candidate lists: one
+    comparison of sorted profiles per pair of points."""
+    px = [(np.sort(X.d[i, :]), np.sort(X.d[:, i])) for i in range(X.n)]
+    py = [(np.sort(Y.d[i, :]), np.sort(Y.d[:, i])) for i in range(Y.n)]
+    return [
+        [
+            j
+            for j in range(Y.n)
+            if np.abs(px[i][0] - py[j][0]).max() <= tol
+            and np.abs(px[i][1] - py[j][1]).max() <= tol
+        ]
+        for i in range(X.n)
+    ]

@@ -18,6 +18,7 @@ from qmet import (
     pair_dist,
     project_to_hull,
     random_nonexpansive,
+    random_qspace,
     sample_hull,
 )
 from qmet.errors import InfeasibleFamily, NotMinimal, NotNonexpansive
@@ -186,3 +187,11 @@ class TestFixedPointGap:
             for T in random_nonexpansive(X):
                 gap, _ = fixed_point_gap(X, T)
                 assert gap <= 2 * delta + 1e-9
+
+
+def test_repro6_pinned():
+    # the known-fault case of ROADMAP item 3; its values must not drift
+    X = random_qspace(6, np.random.default_rng(6))
+    est = estimate_delta(X, samples=300, restarts=6, seed=0)
+    assert est.lower == 0.44715145758969554
+    assert est.heuristic_upper == 0.44715161200892234

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,3 +163,14 @@ class TestNetGHUpper:
         Y = perturbed_space(X, rng, 0.1)
         value = net_gh_upper(sample_hull(X, 40, seed=1), sample_hull(Y, 40, seed=2))
         assert value == 0.2660268606298291
+
+
+def test_pinned_net():
+    # every net point and the spread, as drawn before the pool grew in place
+    # and the kernel reduced over a leading point axis
+    H = sample_hull(random_qspace(4, np.random.default_rng(5)), 400, seed=3)
+    F = np.stack([[p.f1 for p in H.points], [p.f2 for p in H.points]])
+    assert F.shape == (2, 369, 4)
+    digest = hashlib.sha256(F.tobytes()).hexdigest()
+    assert digest == "a31eac6456e4af088af72195955a72ba6cbdb60b71eba0e039d874d6180a0bd0"
+    assert H.spread == 2.805247637743813e-05

@@ -318,6 +318,15 @@ class TestCLI:
         assert err.value.code == 2
         assert "usage:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "gh"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tol_is_a_usage_error(self, capsys, demo_files, command, tol):
+        spaces = [demo_files["sierpinski"]] * (2 if command == "gh" else 1)
+        with pytest.raises(SystemExit) as err:
+            dispatch([command, *spaces, "--tol", tol])
+        assert err.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
     def test_unknown_flag_rejected(self, demo_files):
         with pytest.raises(SystemExit):
             dispatch(["validate", demo_files["sierpinski"], "--frobnicate"])

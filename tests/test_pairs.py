@@ -24,8 +24,26 @@ from qmet.errors import (
     SpaceMismatch,
     SubsetMismatch,
 )
-from qmet.pairs import AmplePair, ample_completion, project_arrays, retract, star
-from helpers import qspaces, random_ample_pair
+from qmet.hull import HullSample, _net_matrix
+from qmet.pairs import (
+    AmplePair,
+    ample_completion,
+    dquasi,
+    dsym,
+    flat,
+    project_arrays,
+    retract,
+    star,
+)
+from qmet.space import random_qspace
+from helpers import (
+    qspaces,
+    random_ample_pair,
+    reference_dsym,
+    reference_flat,
+    reference_net_matrix,
+    reference_star,
+)
 
 S = demo_space("sierpinski")
 L3 = demo_space("line3")
@@ -300,3 +318,43 @@ class TestRetraction:
         # never above the completion (g, star g) it retracts
         assert (P1 <= G).all() and (P2 <= S).all()
         assert res.max() <= 4 * np.finfo(float).eps * scale
+
+
+class TestKernelLayout:
+    """The kernel reduces over a leading point axis; on every shape the
+    library passes it, it must equal the trailing-axis formulas bit for bit."""
+
+    @given(
+        st.integers(1, 12),
+        st.integers(0, 20),
+        st.integers(0, 20),
+        st.integers(0, 2 ** 31 - 1),
+        st.booleans(),
+    )
+    def test_matches_trailing_axis_reference(self, n, b, t, seed, ties):
+        rng = np.random.default_rng(seed)
+
+        def draw(*shape):
+            a = rng.uniform(-1.0, 3.0, shape)
+            # halves give ties and signed zeros in the differences
+            return np.round(2.0 * a) / 2.0 if ties else a
+
+        d = draw(n, n)
+        for F in (draw(n), draw(b, n)):
+            assert np.array_equal(star(d, F), reference_star(d, F))
+            assert np.array_equal(flat(d, F), reference_flat(d, F))
+        cases = [
+            (draw(n), draw(n), draw(n), draw(n)),  # one pair against one
+            (draw(b, n), draw(b, n), draw(b, n), draw(b, n)),  # rows against rows
+            (draw(b, 1, n), draw(b, 1, n), draw(t, n), draw(t, n)),  # snapping, spread
+            (draw(b, 1, n), draw(b, 1, n), d, d.T),  # gaps to the embedding
+            (draw(b, n), draw(b, n), draw(n), draw(n)),  # pool against a candidate
+        ]
+        for F1, F2, G1, G2 in cases:
+            assert np.array_equal(dsym(F1, F2, G1, G2), reference_dsym(F1, F2, G1, G2))
+        f1, f2, g1, g2 = draw(n), draw(n), draw(n), draw(n)
+        assert dquasi(f1, f2, g1, g2) == max(0.0, (f1 - g1).max(), (g2 - f2).max())
+        X = random_qspace(n, rng)
+        F1, F2 = draw(n + b, n), draw(n + b, n)
+        H = HullSample(X, tuple(AmplePair(X, *f) for f in zip(F1, F2)), seed, 0.0)
+        assert np.array_equal(_net_matrix(H), reference_net_matrix(H))

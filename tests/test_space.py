@@ -19,7 +19,7 @@ from qmet import (
     symmetrize,
     validate,
 )
-from qmet.space import VIOLATION_CAP, Violation
+from qmet.space import VIOLATION_CAP, Violation, _candidates
 from qmet.tolerances import TRIANGLE_TOL
 from qmet.errors import (
     EmptySubset,
@@ -29,7 +29,13 @@ from qmet.errors import (
     SizeOverflow,
     ValidationError,
 )
-from helpers import permuted_copy, qspaces, reference_is_isometric
+from helpers import (
+    permuted_copy,
+    perturbed_space,
+    qspaces,
+    reference_candidates,
+    reference_is_isometric,
+)
 
 
 S = demo_space("sierpinski")
@@ -285,3 +291,18 @@ class TestIsometric:
         Y, _ = permuted_copy(X, rng)
         for Z in (Y, ones_twos()):
             assert is_isometric(X, Z) == reference_is_isometric(X, Z)
+
+    @given(
+        qspaces(min_n=1, max_n=7),
+        st.integers(0, 2 ** 31 - 1),
+        st.booleans(),
+        st.sampled_from([0.0, 1e-9, 0.3, 1.0, float("nan")]),
+    )
+    def test_candidates_match_double_loop(self, X, seed, ties, tol):
+        rng = np.random.default_rng(seed)
+        ones_twos = lambda: QSpace(rng.integers(1, 3, (X.n, X.n)) * (1.0 - np.eye(X.n)))
+        if ties:
+            X = ones_twos()
+        Y, _ = permuted_copy(X, rng)
+        for Z in (Y, ones_twos(), perturbed_space(X, rng, 0.3)):
+            assert _candidates(X, Z, tol) == reference_candidates(X, Z, tol)

@@ -30,3 +30,31 @@ def test_no_recursion_in_library():
         and node.func.id == func.name
     ]
     assert found == []
+
+
+def _literal(node):
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return None
+
+
+def test_point_axis_leads():
+    # numpy reduces a trailing axis only n points long one output entry at a
+    # time; the pair kernel moves the point axis to the front and reduces
+    # with axis=0 (see pairs._lead)
+    found = [
+        f"{path.stem}.{func.name}"
+        for path in (SRC / "pairs.py", SRC / "hull.py")
+        for func in ast.walk(ast.parse(path.read_text()))
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("max", "min")
+        and any(
+            kw.arg == "axis" and _literal(kw.value) in (-1, -2, 2)
+            for kw in node.keywords
+        )
+    ]
+    assert found == []
