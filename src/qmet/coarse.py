@@ -3,9 +3,10 @@
 A family of triples (x_i, r_i, s_i) is feasible when d(x_i, x_j) <= r_i + s_j.
 The injectivity constant of a space is the least uniform inflation delta such
 that every feasible family admits a common point z with d(x_i, z) <= r_i +
-delta and d(z, x_i) <= s_i + delta.  Equivalently (and this is how it is
-estimated here) it is how far hull points can sit from the embedded copy of
-the space in the symmetrized hull distance.
+delta and d(z, x_i) <= s_i + delta.  One family's least delta has a closed
+form (``min_delta``); for the family of a hull point it is the symmetrized hull
+distance to the embedded copy of the space, so the constant is how far hull
+points can sit from that copy, and it is estimated here over hull samples.
 """
 
 from __future__ import annotations
@@ -15,13 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleFamily, NotMinimal, NotNonexpansive, ValidationError
+from .errors import InfeasibleFamily, NotMinimal, NotNonexpansive
 from .hull import sample_hull
 from .pairs import AmplePair, dsym, in_hull, retract
 from .space import QSpace, map_table
 from .tolerances import AMPLE_TOL, CERTIFICATION_TOL
 
-BISECTION_TOL = 1e-7
 NONEXPANSIVE_TOL = 1e-9
 
 
@@ -34,40 +34,52 @@ class BallFamily:
     def __post_init__(self):
         entries = tuple((int(x), float(r), float(s)) for x, r, s in self.entries)
         for x, r, s in entries:
-            if r < 0 or s < 0:
-                raise ValueError("radii must be non-negative")
+            if not (0 <= r < np.inf and 0 <= s < np.inf):
+                raise ValueError("radii must be finite and non-negative")
         object.__setattr__(self, "entries", entries)
 
 
+def _arrays(X: QSpace, F: BallFamily):
+    """The family's point indices, checked against X, and its two radius arrays."""
+    xs = np.array(map_table([e[0] for e in F.entries], len(F.entries), X.n), dtype=np.intp)
+    rs, ss = np.array([e[1:] for e in F.entries]).reshape(-1, 2).T
+    return xs, rs, ss
+
+
 def family_violation(X: QSpace, F: BallFamily, tol: float = AMPLE_TOL):
-    """Worst feasibility violation d(x_i, x_j) - r_i - s_j, or None."""
-    worst = None
-    for i, (xi, ri, _) in enumerate(F.entries):
-        for j, (xj, _, sj) in enumerate(F.entries):
-            excess = X.d[xi, xj] - ri - sj
-            if excess > tol and (worst is None or excess > worst[2]):
-                worst = (i, j, float(excess))
-    return worst
+    """Worst feasibility violation (i, j, d(x_i, x_j) - r_i - s_j), or None.
+
+    The witness is the first worst (i, j) in row-major order.  Raises
+    IndexOutOfRange when an entry names no point of X.
+    """
+    xs, rs, ss = _arrays(X, F)
+    excess = X.d[np.ix_(xs, xs)] - rs[:, None] - ss
+    if not excess.max(initial=-np.inf) > tol:
+        return None
+    i, j = np.unravel_index(np.argmax(excess), excess.shape)
+    return int(i), int(j), float(excess[i, j])
+
+
+def _excess(X: QSpace, F: BallFamily) -> np.ndarray:
+    """Per z, max_i max(d(x_i, z) - r_i, d(z, x_i) - s_i), -inf for an empty
+    family; raises InfeasibleFamily when F itself is infeasible."""
+    bad = family_violation(X, F)
+    if bad is not None:
+        raise InfeasibleFamily((bad[0], bad[1]), bad[2])
+    xs, rs, ss = _arrays(X, F)
+    up = X.d[xs, :] - rs[:, None]
+    return np.maximum(up, X.d[:, xs].T - ss[:, None]).max(axis=0, initial=-np.inf)
 
 
 def find_center(X: QSpace, F: BallFamily, delta: float, atol: float = 1e-12) -> int | None:
     """Lowest-index z inside every inflated two-sided ball, or None.
 
-    z qualifies when d(x_i, z) <= r_i + delta and d(z, x_i) <= s_i + delta for
-    every entry.  Raises InfeasibleFamily when F itself is infeasible.
+    z qualifies when d(x_i, z) - r_i <= delta + atol and d(z, x_i) - s_i <=
+    delta + atol for every entry; an empty family is solved by z = 0.  Raises
+    InfeasibleFamily when F itself is infeasible.
     """
-    bad = family_violation(X, F)
-    if bad is not None:
-        raise InfeasibleFamily((bad[0], bad[1]), bad[2])
-    xs = np.array([e[0] for e in F.entries])
-    rs = np.array([e[1] for e in F.entries])
-    ss = np.array([e[2] for e in F.entries])
-    for z in range(X.n):
-        if (X.d[xs, z] <= rs + delta + atol).all() and (
-            X.d[z, xs] <= ss + delta + atol
-        ).all():
-            return z
-    return None
+    hits = np.flatnonzero(_excess(X, F) <= delta + atol)
+    return int(hits[0]) if hits.size else None
 
 
 def family_from_hull_point(X: QSpace, f: AmplePair) -> BallFamily:
@@ -83,24 +95,10 @@ def family_from_hull_point(X: QSpace, f: AmplePair) -> BallFamily:
     )
 
 
-def min_delta(X: QSpace, F: BallFamily, tol: float = BISECTION_TOL) -> float:
-    """Least delta solving a feasible family, by bisection over find_center.
-
-    Feasibility is monotone in delta, and delta = diam always works, so the
-    bracket is [0, diam].
-    """
-    if find_center(X, F, 0.0) is not None:
-        return 0.0
-    lo, hi = 0.0, X.diam
-    if find_center(X, F, hi) is None:
-        raise ValidationError(X.classification, "diameter inflation must solve")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        if find_center(X, F, mid) is not None:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+def min_delta(X: QSpace, F: BallFamily) -> float:
+    """Least delta solving a feasible family (else InfeasibleFamily), in closed
+    form: min over z of max_i max(d(x_i, z) - r_i, d(z, x_i) - s_i, 0)."""
+    return max(float(_excess(X, F).min()), 0.0)
 
 
 def _embedding_gaps(X: QSpace, F1: np.ndarray, F2: np.ndarray) -> np.ndarray:

@@ -19,7 +19,6 @@ from .pairs import (
     dsym,
     embed_point,
     flat,
-    project_arrays,
     retract,
     star,
 )
@@ -157,9 +156,9 @@ def metric_diag_check(X: QSpace, H: HullSample, tol: float = CERTIFICATION_TOL) 
 def net_gh_upper(HX: HullSample, HY: HullSample) -> float:
     """Upper bound on the GH distance between two hull nets.
 
-    Only for nets over spaces on the same index set (e.g. perturbation pairs):
-    each net point is inflated by half the matrix perturbation, re-projected
-    in the other space, and snapped to the nearest net point there; the two
+    For nets over spaces on the same index set (e.g. perturbation pairs): each
+    net point's f1, inflated by half the matrix perturbation, is retracted onto
+    the other space's hull and snapped to the nearest net point there; the two
     snapped maps assemble a correspondence whose half-distortion bounds the
     net GH distance from above.  A net approximation, not a proof-grade value.
     """
@@ -169,8 +168,8 @@ def net_gh_upper(HX: HullSample, HY: HullSample) -> float:
     eta = float(np.abs(X.d - Y.d).max())
 
     def snapped(source: HullSample, target: HullSample, pad: float):
-        F1, F2 = _stack(source.points)
-        P1, P2, _ = project_arrays(target.space, F1 + pad, F2 + pad)
+        F1 = np.stack([p.f1 for p in source.points])
+        P1, P2, _ = retract(target.space.d, F1 + pad)
         T1, T2 = _stack(target.points)
         return dsym(P1[:, None, :], P2[:, None, :], T1, T2).argmin(axis=1).tolist()
 

@@ -9,9 +9,10 @@ conjugation
 
 The conjugations ``star`` (least f2 for f1) and ``flat`` (least f1 for f2)
 form an antitone Galois connection, so ``retract`` sends any g >= 0 exactly
-onto the hull point (flat(star(g)), star(g)); sampled net points come from
-it.  Generic ample pairs are projected by repeatedly averaging a pair with
-its double conjugate.  The hull carries the quasi-metric
+onto the hull point (flat(star(g)), star(g)).  On an ample pair f, retract(f1)
+lies below f, fixes the hull and is non-expansive; every internal caller uses
+it, and only the public ``project_to_hull`` averages f with its double
+conjugate.  The hull carries the quasi-metric
 
     D(f, g) = max( max_x (f1 - g1)+ , max_x (g2 - f2)+ ),
 
@@ -37,7 +38,7 @@ from .errors import (
     SpaceMismatch,
     SubsetMismatch,
 )
-from .space import QSpace, restrict, subset_indices
+from .space import QSpace, subset_indices
 from .tolerances import AMPLE_TOL, CERTIFICATION_TOL, PROJECTION_TOL
 
 PROJECTION_MAX_ITER = 200
@@ -248,22 +249,19 @@ def ample_completion(X: QSpace, f1) -> AmplePair:
 def extend_from_subspace(X: QSpace, subset, f: AmplePair) -> AmplePair:
     """Extend a minimal pair on a subspace to a minimal pair on X.
 
-    Inf-convolution along the ambient distances gives an ample extension that
-    restricts back to f; projecting keeps the restriction (the subspace values
-    are already mutually tight) and lands on the hull of X.  The assembled map
-    is an isometric embedding of the subspace hull into the hull of X.
+    The inf-convolution s1 of f1 along the ambient distances restricts back to
+    f1; the exact two-step ``retract`` sends it to the hull of X and keeps the
+    subspace values (they are already mutually tight).  The assembled map is
+    an isometric embedding of the subspace hull into the hull of X.
     """
-    idx = subset_indices(X, subset)
-    sub = restrict(X, idx)
-    if not np.array_equal(sub.d, f.space.d):
+    iy = np.asarray(subset_indices(X, subset))
+    if not np.array_equal(X.d[np.ix_(iy, iy)], f.space.d):
         raise SubsetMismatch("pair does not live on the selected subspace")
     if not (f.certified_minimal or in_hull(f, CERTIFICATION_TOL)):
         raise NotMinimal("extension requires a certified minimal pair")
-    iy = np.asarray(idx)
     s1 = (X.d[iy, :] + f.f1[:, None]).min(axis=0)
-    s2 = (f.f2[:, None] + X.d[:, iy].T).min(axis=0)
-    out = project_to_hull(AmplePair(X, s1, s2))
-    drift = dsym(out.f1[iy], out.f2[iy], f.f1, f.f2)
+    P1, P2, res = retract(X.d, s1)
+    drift = dsym(P1[iy], P2[iy], f.f1, f.f2)
     if not drift <= 1e-7:
         raise NotMinimal(f"extension moved subspace values by {drift:.3e}")
-    return out
+    return AmplePair(X, P1, P2, certified_minimal=True, certified_tol=float(res))

@@ -352,7 +352,8 @@ def is_isometric(X: QSpace, Y: QSpace, tol: float = 1e-9) -> list[int] | None:
 
     Backtracking over points ordered by candidate count, with one candidate
     iterator per placed point on an explicit stack; candidates are pruned
-    by sorted out/in distance profiles.  Returns the permutation (X index ->
+    by sorted out/in distance profiles, and each level keeps only the unused
+    ones that fit every placed point.  Returns the permutation (X index ->
     Y index) or None.
     """
     if X.n != Y.n:
@@ -362,34 +363,36 @@ def is_isometric(X: QSpace, Y: QSpace, tol: float = 1e-9) -> list[int] | None:
     if not all(cand):
         return None
     order = sorted(range(n), key=lambda i: len(cand[i]))
-    perm = [-1] * n
-    used = [False] * n
+    perm = np.full(n, -1)
+    used = np.zeros(n, dtype=bool)
 
-    def fits(i: int, j: int, placed) -> bool:
-        return not any(
-            abs(X.d[i, p] - Y.d[j, perm[p]]) > tol
-            or abs(X.d[p, i] - Y.d[perm[p], j]) > tol
-            for p in placed
-        )
+    def level(pos: int):
+        # filtered once, when pushed: deeper levels are unwound before this
+        # one is revisited, so the placed points and used set are as now
+        i, placed = order[pos], order[:pos]
+        js = np.array(cand[i])
+        js, P = js[~used[js]], perm[placed]
+        bad = (np.abs(X.d[i, placed] - Y.d[np.ix_(js, P)]) > tol).any(axis=1) | (
+            np.abs(X.d[placed, i] - Y.d[np.ix_(P, js)].T) > tol
+        ).any(axis=1)
+        return iter(js[~bad].tolist())
 
-    stack = [iter(cand[order[0]])]
+    stack = [level(0)]
     while stack:
         pos = len(stack) - 1
         i = order[pos]
         if perm[i] >= 0:  # back from a dead end: free this point's last choice
             used[perm[i]] = False
             perm[i] = -1
-        j = next(
-            (j for j in stack[-1] if not used[j] and fits(i, j, order[:pos])), None
-        )
+        j = next(stack[-1], None)
         if j is None:
             stack.pop()
             continue
         perm[i] = j
         used[j] = True
         if pos + 1 == n:
-            return perm
-        stack.append(iter(cand[order[pos + 1]]))
+            return perm.tolist()
+        stack.append(level(pos + 1))
     return None
 
 

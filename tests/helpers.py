@@ -6,6 +6,7 @@ import numpy as np
 from qmet import QSpace, ample_completion, random_qspace, triangle_closure
 from qmet.gh import DEFAULT_BUDGET, Correspondence, GHResult, distortion
 from qmet.pairs import AmplePair
+from qmet.tolerances import AMPLE_TOL
 
 
 @st.composite
@@ -266,3 +267,29 @@ def reference_candidates(X, Y, tol):
         ]
         for i in range(X.n)
     ]
+
+
+def reference_family_violation(X, F, tol=AMPLE_TOL):
+    """The double loop that ``family_violation`` replaced: the first worst
+    (i, j) in loop order."""
+    worst = None
+    for i, (xi, ri, _) in enumerate(F.entries):
+        for j, (xj, _, sj) in enumerate(F.entries):
+            excess = X.d[xi, xj] - ri - sj
+            if excess > tol and (worst is None or excess > worst[2]):
+                worst = (i, j, float(excess))
+    return worst
+
+
+def reference_find_center(X, F, delta, atol=1e-12):
+    """The z-loop that ``find_center`` replaced, for a feasible non-empty
+    family: the lowest z inside every inflated two-sided ball, or None."""
+    xs = np.array([e[0] for e in F.entries])
+    rs = np.array([e[1] for e in F.entries])
+    ss = np.array([e[2] for e in F.entries])
+    for z in range(X.n):
+        if (X.d[xs, z] <= rs + delta + atol).all() and (
+            X.d[z, xs] <= ss + delta + atol
+        ).all():
+            return z
+    return None

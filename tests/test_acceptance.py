@@ -281,7 +281,7 @@ def test_c09_family_delta_equals_embedding_gap():
             count += 1
     report(
         9,
-        "bisected family inflation equals distance to the embedded copy",
+        "closed-form family inflation equals distance to the embedded copy",
         count >= 100 and worst <= 1e-6,
         f"{count} hull points, max dev {worst:.1e}",
     )

@@ -21,9 +21,14 @@ from qmet import (
     random_qspace,
     sample_hull,
 )
-from qmet.errors import InfeasibleFamily, NotMinimal, NotNonexpansive
+from qmet.errors import IndexOutOfRange, InfeasibleFamily, NotMinimal, NotNonexpansive
 from qmet.pairs import AmplePair
-from helpers import qspaces, rng_spaces
+from helpers import (
+    qspaces,
+    reference_family_violation,
+    reference_find_center,
+    rng_spaces,
+)
 
 S = demo_space("sierpinski")
 M2 = demo_space("metric2")
@@ -62,6 +67,76 @@ class TestFindCenter:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             BallFamily(((0, -0.1, 0.0),))
+
+    @pytest.mark.parametrize("r, s", [(np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0), (0.0, np.inf)])
+    def test_non_finite_radius_rejected(self, r, s):
+        with pytest.raises(ValueError):
+            BallFamily(((0, r, s),))
+
+    @pytest.mark.parametrize("x", [2, 5, -1])
+    def test_index_out_of_range(self, x):
+        F = BallFamily(((0, 1.0, 1.0), (x, 0.1, 0.1)))
+        for call in (family_violation, min_delta, lambda X, F: find_center(X, F, 1.0)):
+            with pytest.raises(IndexOutOfRange):
+                call(S, F)
+
+    def test_empty_family_needs_nothing(self):
+        F = BallFamily(())
+        assert family_violation(S, F) is None
+        assert find_center(S, F, 0.0) == 0
+        assert min_delta(S, F) == 0.0
+
+
+@st.composite
+def families(draw):
+    """A space and a family on it: 1/2-valued distances and tie-heavy radii
+    half the time each, backward radii made feasible half the time."""
+    X = draw(qspaces(min_n=1, max_n=6))
+    if draw(st.booleans()):
+        ones_twos = draw(st.lists(st.integers(1, 2), min_size=X.n ** 2, max_size=X.n ** 2))
+        X = QSpace(np.reshape(ones_twos, (X.n, X.n)) * (1.0 - np.eye(X.n)))
+    m = draw(st.integers(1, 7))
+    xs = draw(st.lists(st.integers(0, X.n - 1), min_size=m, max_size=m))
+    radius = st.sampled_from([0.0, 0.5, 1.0, 1.5]) if draw(st.booleans()) else st.floats(0.0, 3.0)
+    rs = draw(st.lists(radius, min_size=m, max_size=m))
+    ss = draw(st.lists(radius, min_size=m, max_size=m))
+    if draw(st.booleans()):
+        ss = [max(s, max(X.d[xi, xj] - r for xi, r in zip(xs, rs))) for s, xj in zip(ss, xs)]
+    return X, BallFamily(tuple(zip(xs, rs, ss)))
+
+
+@given(families(), st.sampled_from([0.0, 1e-9, 0.5]))
+@settings(max_examples=200)
+def test_family_violation_matches_double_loop(case, tol):
+    X, F = case
+    assert family_violation(X, F) == reference_family_violation(X, F)
+    assert family_violation(X, F, tol) == reference_family_violation(X, F, tol)
+
+
+@given(families(), st.sampled_from([0.0, 0.25, 1.0]), st.floats(0.0, 3.0))
+@settings(max_examples=200)
+def test_find_center_matches_z_loop(case, offset, delta):
+    X, F = case
+    if family_violation(X, F) is not None:
+        return
+    least = min_delta(X, F)
+    for d in (0.0, delta, least, least + offset):
+        assert find_center(X, F, d) == reference_find_center(X, F, d)
+    # the loop finds a center at the least delta and none clearly below it
+    assert least >= 0.0 and reference_find_center(X, F, least) is not None
+    assert least == 0.0 or reference_find_center(X, F, least - 1e-9) is None
+
+
+def test_min_delta_is_exact():
+    # c09's identity holds to rounding, and the least delta is attained
+    eps = np.finfo(float).eps
+    for si, X in enumerate(rng_spaces(6, 5, seed=42)):
+        H = sample_hull(X, 30, seed=si)
+        for f in H.points:
+            F = family_from_hull_point(X, f)
+            delta = min_delta(X, F)
+            assert abs(delta - distance_to_embedding(X, f)) <= 4 * eps * max(X.diam, 1.0)
+            assert find_center(X, F, delta) is not None
 
 
 class TestFamilyFromHullPoint:

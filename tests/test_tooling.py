@@ -58,3 +58,32 @@ def test_point_axis_leads():
         )
     ]
     assert found == []
+
+
+def _owned_calls(path):
+    """(enclosing function, called name) for every call in a module; a call
+    belongs to the innermost function around it ("<module>" at top level)."""
+    todo = [(f"{path.stem}.<module>", ast.parse(path.read_text()))]
+    while todo:
+        owner, node = todo.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                todo.append((f"{path.stem}.{child.name}", child))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                yield owner, getattr(func, "id", getattr(func, "attr", None))
+            todo.append((owner, child))
+
+
+def test_averaging_only_in_project_to_hull():
+    # every internal caller lands on the hull through the exact two-step
+    # retract; the averaging loop stops on a tolerance and is kept only for
+    # the public projection of generic ample pairs
+    found = sorted(
+        owner
+        for path in sorted(SRC.glob("*.py"))
+        for owner, name in _owned_calls(path)
+        if name in ("project_arrays", "project_to_hull")
+    )
+    assert found == ["pairs.project_to_hull"]
