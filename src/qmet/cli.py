@@ -1,9 +1,13 @@
 """Command-line front end.
 
 Subcommands: validate, transform, hull, gh, rough-iso, delta, fixpoint, demo.
-Every command has a --json mode whose output validates against the schema
-files shipped under qmet/schemas/.  Exit codes: 0 success, 2 validation or
-parse failure, 3 solver budget exhausted.
+Each ``cmd_*`` computes and returns (exit code, payload, lines) and prints
+nothing; ``dispatch`` alone writes the report.  With --json that is the
+envelope {"command", *payload, "tolerances"}, where the payload takes the
+library's result dataclasses as they are (``AxiomReport``, ``DeltaEstimate``,
+``RoughInverse``) and validates against the schema files shipped under
+qmet/schemas/; otherwise the lines and then the tolerance ledger.  Exit
+codes: 0 success, 2 validation or parse failure, 3 solver budget exhausted.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import io as qio
@@ -35,118 +40,65 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
 
+Report = tuple[int, dict, list[str]]  # (exit code, JSON payload, human lines)
+
 
 def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
-def _ledger_line() -> str:
-    return "tolerances: " + " ".join(f"{k}={_fmt(v)}" for k, v in ledger().items())
+def _load(path, args):
+    return qio.parse_space(Path(path), tol=args.tol)
 
 
-def _classification_obj(report) -> dict:
-    return {
-        "satisfies_M1": report.satisfies_M1,
-        "satisfies_M1_star": report.satisfies_M1_star,
-        "satisfies_M2": report.satisfies_M2,
-        "satisfies_M3": report.satisfies_M3,
-        "is_metric": report.is_metric,
-        "violations": [
-            {"axiom": v.axiom, "witness": list(v.witness), "magnitude": v.magnitude}
-            for v in report.violations
-        ],
-    }
+def _matrix_lines(d) -> list[str]:
+    return ["  " + " ".join(_fmt(v) for v in row) for row in d]
 
 
-def _emit(args, payload: dict, lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in lines:
-            print(line)
-        print(_ledger_line())
+def _violation_lines(report) -> list[str]:
+    return [f"  {v.axiom} at {v.witness}: {_fmt(v.magnitude)}" for v in report.violations]
 
 
-def _load(args):
-    return qio.parse_space(Path(args.space), tol=getattr(args, "tol", TRIANGLE_TOL))
-
-
-def _kind(report) -> str:
-    if report.is_metric:
-        return "metric"
-    if report.is_quasi_metric:
-        return "quasi-metric"
-    return "pseudo-quasi-metric"
-
-
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> Report:
     try:
-        X = _load(args)
+        X = _load(args.space, args)
     except ValidationError as err:
-        payload = {
-            "command": "validate",
-            "ok": False,
-            "classification": _classification_obj(err.report),
-            "tolerances": ledger(),
-        }
-        lines = ["not a pseudo-quasi-metric"] + [
-            f"  {v.axiom} at {v.witness}: {_fmt(v.magnitude)}"
-            for v in err.report.violations
-        ]
-        _emit(args, payload, lines)
-        return EXIT_INVALID
+        payload = {"ok": False, "classification": asdict(err.report)}
+        lines = ["not a pseudo-quasi-metric", *_violation_lines(err.report)]
+        return EXIT_INVALID, payload, lines
     r = X.classification
-    payload = {
-        "command": "validate",
-        "ok": True,
-        "n": X.n,
-        "labels": list(X.labels),
-        "classification": _classification_obj(r),
-        "tolerances": ledger(),
-    }
+    payload = {"ok": True, "n": X.n, "labels": list(X.labels), "classification": asdict(r)}
     lines = [
-        f"space: {X.n} points, {_kind(r)}",
+        f"space: {X.n} points, {r.kind}",
         f"M1 (T0 separation): {'yes' if r.satisfies_M1 else 'no'}",
         f"M1* (zero diagonal): {'yes' if r.satisfies_M1_star else 'no'}",
         f"M2 (triangle): {'yes' if r.satisfies_M2 else 'no'}",
         f"M3 (symmetry): {'yes' if r.satisfies_M3 else 'no'}",
         f"is_metric: {'yes' if r.is_metric else 'no'}",
+        *_violation_lines(r),
     ]
-    for v in r.violations:
-        lines.append(f"  {v.axiom} at {v.witness}: {_fmt(v.magnitude)}")
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return EXIT_OK, payload, lines
 
 
-def cmd_transform(args) -> int:
-    X = _load(args)
-    Y = dualize(X, args.mode)
-    obj = qio.space_to_obj(Y)
+def cmd_transform(args) -> Report:
+    Y = dualize(_load(args.space, args), args.mode)
     if args.out:
         Path(args.out).write_text(qio.space_to_json(Y))
     payload = {
-        "command": "transform",
         "mode": args.mode,
-        "space": obj,
-        "classification": _classification_obj(Y.classification),
-        "tolerances": ledger(),
+        "space": qio.space_to_obj(Y),
+        "classification": asdict(Y.classification),
     }
-    lines = [f"{args.mode}: {Y!r}"] + [
-        "  " + " ".join(_fmt(v) for v in row) for row in Y.d
-    ]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return EXIT_OK, payload, [f"{args.mode}: {Y!r}", *_matrix_lines(Y.d)]
 
 
-def cmd_hull(args) -> int:
-    X = _load(args)
+def cmd_hull(args) -> Report:
+    X = _load(args.space, args)
     H = sample_hull(X, args.samples, args.seed)
     payload = {
-        "command": "hull",
         "count": len(H.points),
         "spread": None if H.spread == float("inf") else H.spread,
         "sample": qio.hull_to_obj(H),
-        "tolerances": ledger(),
     }
     lines = [
         f"hull net of {X.n}-point space: {len(H.points)} points "
@@ -156,69 +108,52 @@ def cmd_hull(args) -> int:
         Q = hull_as_qspace(H)
         payload["labels"] = list(Q.labels)
         payload["matrix"] = [list(map(float, row)) for row in Q.d]
-        lines += ["  " + " ".join(_fmt(v) for v in row) for row in Q.d]
+        lines += _matrix_lines(Q.d)
     if args.out:
         Path(args.out).write_text(json.dumps(qio.hull_to_obj(H)))
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return EXIT_OK, payload, lines
 
 
-def cmd_gh(args) -> int:
-    A = qio.parse_space(Path(args.left), tol=args.tol)
-    B = qio.parse_space(Path(args.right), tol=args.tol)
-    budget = None if args.exact else args.budget
-    result = gh_exact(A, B, budget=budget)
+def cmd_gh(args) -> Report:
+    A, B = _load(args.left, args), _load(args.right, args)
+    result = gh_exact(A, B, budget=None if args.exact else args.budget)
+    R = result.correspondence
     if args.witness:
-        w = rough_isometry_from_correspondence(result.correspondence)
-        Path(args.witness).write_text(
-            json.dumps(qio.witness_to_obj(w, result.correspondence), indent=2)
-        )
+        w = rough_isometry_from_correspondence(R)
+        Path(args.witness).write_text(json.dumps(qio.witness_to_obj(w, R), indent=2))
     payload = {
-        "command": "gh",
         "value": result.value,
         "exact": result.exact,
         "nodes": result.nodes,
-        "distortion": distortion(result.correspondence),
-        "correspondence": [list(p) for p in result.correspondence.pairs],
-        "tolerances": ledger(),
+        "distortion": distortion(R),
+        "correspondence": [list(p) for p in R.pairs],
     }
     lines = [
         f"gh = {_fmt(result.value)}",
         f"exact: {'yes' if result.exact else 'no (budget exhausted, upper bound)'}",
         f"nodes: {result.nodes}",
-        f"correspondence: {list(result.correspondence.pairs)}",
+        f"correspondence: {list(R.pairs)}",
     ]
-    _emit(args, payload, lines)
-    return EXIT_OK if result.exact else EXIT_BUDGET
+    return (EXIT_OK if result.exact else EXIT_BUDGET), payload, lines
 
 
-def cmd_rough_iso(args) -> int:
-    A = qio.parse_space(Path(args.left), tol=args.tol)
-    B = qio.parse_space(Path(args.right), tol=args.tol)
+def cmd_rough_iso(args) -> Report:
+    A, B = _load(args.left, args), _load(args.right, args)
     if args.map:
-        phi = qio.load_map(args.map)
-        w = verify_rough_isometry(phi, A, B)
+        w = verify_rough_isometry(qio.load_map(args.map), A, B)
     else:
-        result = gh_exact(A, B)
-        w = rough_isometry_from_correspondence(result.correspondence)
+        w = rough_isometry_from_correspondence(gh_exact(A, B).correspondence)
     R = correspondence_from_rough_isometry(w)
     inv = rough_inverse(w)
     if args.witness:
         Path(args.witness).write_text(json.dumps(qio.witness_to_obj(w, R), indent=2))
     payload = {
-        "command": "rough-iso",
         "map": list(w.map),
         "eps_embed": w.eps_embed,
         "eps_large": w.eps_large,
         "eps": w.eps,
         "correspondence": [list(p) for p in R.pairs],
-        "inverse": {
-            "map": list(inv.map),
-            "nonexpansive_defect": inv.nonexpansive_defect,
-            "target_closeness": inv.target_closeness,
-            "source_closeness": inv.source_closeness,
-        },
-        "tolerances": ledger(),
+        "inverse": asdict(inv),
     }
     lines = [
         f"map: {list(w.map)}",
@@ -228,71 +163,41 @@ def cmd_rough_iso(args) -> int:
         f"target_closeness = {_fmt(inv.target_closeness)}, "
         f"source_closeness = {_fmt(inv.source_closeness)}",
     ]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return EXIT_OK, payload, lines
 
 
-def cmd_delta(args) -> int:
-    X = _load(args)
+def cmd_delta(args) -> Report:
+    X = _load(args.space, args)
     est = estimate_delta(X, samples=args.samples, restarts=args.restarts, seed=args.seed)
-    payload = {
-        "command": "delta",
-        "lower": est.lower,
-        "heuristic_upper": est.heuristic_upper,
-        "samples": est.samples,
-        "restarts": est.restarts,
-        "seed": est.seed,
-        "tolerances": ledger(),
-    }
     lines = [
         f"delta lower bound = {_fmt(est.lower)} (certified from sampled hull points)",
         f"delta heuristic upper = {_fmt(est.heuristic_upper)} (reported, not proven)",
     ]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return EXIT_OK, asdict(est), lines
 
 
-def cmd_fixpoint(args) -> int:
-    X = _load(args)
-    T = qio.load_map(args.map)
-    gap, arg = fixed_point_gap(X, T)
-    payload = {
-        "command": "fixpoint",
-        "gap": gap,
-        "point_index": arg,
-        "point_label": X.labels[arg],
-        "tolerances": ledger(),
-    }
+def cmd_fixpoint(args) -> Report:
+    X = _load(args.space, args)
+    gap, arg = fixed_point_gap(X, qio.load_map(args.map))
+    payload = {"gap": gap, "point_index": arg, "point_label": X.labels[arg]}
     lines = [
         f"gap = {_fmt(gap)} attained at point {arg} ({X.labels[arg]})",
         "map is non-expansive: yes",
     ]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return EXIT_OK, payload, lines
 
 
-def cmd_demo(args) -> int:
+def cmd_demo(args) -> Report:
     if args.name == "list":
-        payload = {"command": "demo", "names": demo_names(), "tolerances": ledger()}
-        _emit(args, payload, demo_names())
-        return EXIT_OK
+        return EXIT_OK, {"names": demo_names()}, demo_names()
     try:
         X = demo_space(args.name)
     except KeyError as err:
-        raise QmetError(str(err)) from None
+        raise QmetError(err.args[0]) from None  # str(KeyError) would quote it
     if args.out:
         Path(args.out).write_text(qio.space_to_json(X))
-    payload = {
-        "command": "demo",
-        "name": args.name,
-        "space": qio.space_to_obj(X),
-        "tolerances": ledger(),
-    }
-    lines = [f"{args.name}: {X!r}"] + [
-        "  " + " ".join(_fmt(v) for v in row) for row in X.d
-    ]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    payload = {"name": args.name, "space": qio.space_to_obj(X)}
+    return EXIT_OK, payload, [f"{args.name}: {X!r}", *_matrix_lines(X.d)]
 
 
 def _at_least(least: int):
@@ -323,21 +228,21 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qmet", description="finite quasi-metric space toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    reads_space = argparse.ArgumentParser(add_help=False)
+    reads_space.add_argument("--tol", type=_tolerance, default=TRIANGLE_TOL)
 
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, func, *, tol=True, **kwargs):
+        p = sub.add_parser(name, parents=[reads_space] if tol else [], **kwargs)
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.set_defaults(func=func)
         return p
 
     p = add("validate", cmd_validate, help="classify a distance matrix")
     p.add_argument("space")
-    p.add_argument("--tol", type=_tolerance, default=TRIANGLE_TOL)
 
     p = add("transform", cmd_transform, help="conjugate or symmetrize a space")
     p.add_argument("space")
     p.add_argument("--mode", choices=["conjugate", "symmetrize"], required=True)
-    p.add_argument("--tol", type=_tolerance, default=TRIANGLE_TOL)
     p.add_argument("--out")
 
     p = add("hull", cmd_hull, help="sample a certified net of the hull")
@@ -345,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_at_least(0), default=100)
     p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--matrix", action="store_true", help="print the induced matrix")
-    p.add_argument("--tol", type=_tolerance, default=TRIANGLE_TOL)
     p.add_argument("--out")
 
     p = add("gh", cmd_gh, help="exact GH distance between two spaces")
@@ -354,28 +258,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", action="store_true", help="search without a node budget")
     p.add_argument("--budget", type=_at_least(1), default=DEFAULT_BUDGET)
     p.add_argument("--witness", help="write a rough-isometry witness JSON here")
-    p.add_argument("--tol", type=_tolerance, default=TRIANGLE_TOL)
 
     p = add("rough-iso", cmd_rough_iso, help="verify or derive a rough isometry")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--map", help="JSON map table to verify; omitted: derive from solver")
     p.add_argument("--witness", help="write the witness JSON here")
-    p.add_argument("--tol", type=_tolerance, default=TRIANGLE_TOL)
 
     p = add("delta", cmd_delta, help="estimate the coarse-injectivity constant")
     p.add_argument("space")
     p.add_argument("--samples", type=_at_least(1), default=200)
     p.add_argument("--restarts", type=_at_least(0), default=6)
     p.add_argument("--seed", type=_at_least(0), default=0)
-    p.add_argument("--tol", type=_tolerance, default=TRIANGLE_TOL)
 
     p = add("fixpoint", cmd_fixpoint, help="least displacement of a non-expansive map")
     p.add_argument("space")
     p.add_argument("--map", required=True)
-    p.add_argument("--tol", type=_tolerance, default=TRIANGLE_TOL)
 
-    p = add("demo", cmd_demo, help="built-in demo spaces")
+    p = add("demo", cmd_demo, tol=False, help="built-in demo spaces")
     p.add_argument("name", help="'list' or a demo name")
     p.add_argument("--out")
 
@@ -383,9 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv=None) -> int:
+    """Run one command and write its report: the only code here that prints."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, payload, lines = args.func(args)
     except ValidationError as err:
         print(f"error: {err}", file=sys.stderr)
         for v in err.report.violations:
@@ -394,6 +295,12 @@ def dispatch(argv=None) -> int:
     except (QmetError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
+    if args.json:
+        print(json.dumps({"command": args.command, **payload, "tolerances": ledger()}, indent=2))
+    else:
+        ledger_line = " ".join(f"{k}={_fmt(v)}" for k, v in ledger().items())
+        print("\n".join([*lines, f"tolerances: {ledger_line}"]))
+    return code
 
 
 def main() -> None:

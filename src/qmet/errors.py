@@ -63,7 +63,11 @@ class SpaceMismatch(QmetError):
     pass
 
 
-class IndexOutOfRange(QmetError):
+class IndexOutOfRange(QmetError, IndexError):
+    pass
+
+
+class NotIncreasing(QmetError, ValueError):
     pass
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EpsTooSmall, NotACorrespondence, ValidationError
+from .errors import EpsTooSmall, IndexOutOfRange, NotACorrespondence, ValidationError
 from .space import QSpace, largeness_constant, map_table
 
 DEFAULT_BUDGET = 5_000_000
@@ -51,7 +51,7 @@ class Correspondence:
         seen_r = set()
         for i, j in pairs:
             if not (0 <= i < len(wl) and 0 <= j < len(wr)):
-                raise IndexError(f"pair ({i},{j}) out of range")
+                raise IndexOutOfRange(f"pair ({i},{j}) out of range")
             seen_l.add(i)
             seen_r.add(j)
         for i in range(len(wl)):

@@ -29,11 +29,26 @@ def _looks_like_path(source: str) -> bool:
         return False
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ParseError(f"not UTF-8 text: {err.reason}", position=f"byte {err.start}") from None
+
+
+def _load_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ParseError(err.msg, position=f"char {err.pos}") from None
+    except (ValueError, RecursionError) as err:  # an over-long integer, deep nesting
+        raise ParseError(str(err)) from None
+
+
 def _read_source(source) -> tuple[str, str | None]:
     """Return (text, suffix) from a path-like or inline text."""
     if isinstance(source, Path) or (isinstance(source, str) and _looks_like_path(source)):
-        p = Path(source)
-        return p.read_text(), p.suffix.lower().lstrip(".")
+        return _read_text(source), Path(source).suffix.lower().lstrip(".")
     return str(source), None
 
 
@@ -64,10 +79,7 @@ def parse_space(source, fmt: str | None = None, tol: float = TRIANGLE_TOL) -> QS
             "json" if text.lstrip().startswith("{") else "csv"
         )
     if fmt == "json":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as err:
-            raise ParseError(err.msg, position=f"char {err.pos}") from None
+        obj = _load_json(text)
         if not isinstance(obj, dict) or "d" not in obj:
             raise ParseError('expected an object with a "d" matrix')
         d = obj["d"]
@@ -75,6 +87,8 @@ def parse_space(source, fmt: str | None = None, tol: float = TRIANGLE_TOL) -> QS
             raise ParseError('"d" must be a list of rows')
         matrix = _matrix_from_rows([[str(v) for v in row] for row in d])
         labels = obj.get("labels")
+        if labels is not None and not isinstance(labels, list):
+            raise ParseError('"labels" must be a list')
         if labels is not None and len(labels) != len(matrix):
             raise ParseError(f"{len(labels)} labels for {len(matrix)} rows")
         return QSpace(matrix, labels, tol=tol)
@@ -144,10 +158,7 @@ def witness_to_obj(w: RoughIsometryWitness, correspondence=None) -> dict:
 
 def load_map(path) -> list[int]:
     """Read a function table {"map": [j0, j1, ...]} from a JSON file."""
-    try:
-        obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as err:
-        raise ParseError(err.msg, position=f"char {err.pos}") from None
+    obj = _load_json(_read_text(path))
     if not isinstance(obj, dict) or "map" not in obj or not isinstance(obj["map"], list):
         raise ParseError('expected an object with a "map" list')
     table = obj["map"]

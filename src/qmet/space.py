@@ -24,6 +24,7 @@ from .errors import (
     NegativeEntry,
     NonFiniteEntry,
     NonSquareMatrix,
+    NotIncreasing,
     SizeOverflow,
     ValidationError,
 )
@@ -57,6 +58,13 @@ class AxiomReport:
     @property
     def is_quasi_metric(self) -> bool:
         return self.is_pseudo_quasi_metric and self.satisfies_M1
+
+    @property
+    def kind(self) -> str:
+        """The narrowest class the matrix belongs to."""
+        if self.is_metric:
+            return "metric"
+        return "quasi-metric" if self.is_quasi_metric else "pseudo-quasi-metric"
 
 
 def _check_candidate(matrix) -> np.ndarray:
@@ -175,10 +183,7 @@ class QSpace:
         return hash((self.labels, self.d.tobytes()))
 
     def __repr__(self):
-        kind = "metric" if self.classification.is_metric else (
-            "quasi-metric" if self.classification.is_quasi_metric else "pseudo-quasi-metric"
-        )
-        return f"QSpace(n={self.n}, {kind}, diam={self.diam:.6g})"
+        return f"QSpace(n={self.n}, {self.classification.kind}, diam={self.diam:.6g})"
 
 
 @dataclass(frozen=True)
@@ -194,9 +199,9 @@ class SubsetRef:
         prev = -1
         for i in self.indices:
             if not 0 <= i < self.parent.n:
-                raise IndexError(f"subset index {i} out of range for n={self.parent.n}")
+                raise IndexOutOfRange(f"subset index {i} out of range for n={self.parent.n}")
             if i <= prev:
-                raise ValueError("subset indices must be strictly increasing")
+                raise NotIncreasing("subset indices must be strictly increasing")
             prev = i
 
 

@@ -20,7 +20,7 @@ from qmet import (
     rough_isometry_from_correspondence,
     verify_rough_isometry,
 )
-from qmet.errors import EpsTooSmall, NotACorrespondence
+from qmet.errors import EpsTooSmall, IndexOutOfRange, NotACorrespondence
 from helpers import (
     brute_gh,
     permuted_copy,
@@ -53,6 +53,11 @@ class TestCorrespondence:
         with pytest.raises(NotACorrespondence) as err:
             Correspondence(S, M2, ((0, 0), (0, 1)))
         assert err.value.side == "left" and err.value.index == 1
+
+    @pytest.mark.parametrize("pairs", [((0, 0), (1, 1), (2, 0)), ((0, 0), (1, -1))])
+    def test_out_of_range_pair_is_typed(self, pairs):
+        with pytest.raises(IndexOutOfRange):
+            Correspondence(S, S, pairs)
 
     def test_network_mode_accepts_anything(self):
         wa = [[3.0, -1.0], [2.0, 0.5]]

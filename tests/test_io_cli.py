@@ -1,16 +1,54 @@
 import json
+from dataclasses import asdict
 from pathlib import Path
 
+import hypothesis.strategies as st
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
-from qmet import demo_space, parse_space, space_to_csv, space_to_json
+from qmet import (
+    demo_space,
+    estimate_delta,
+    gh_exact,
+    parse_space,
+    rough_inverse,
+    rough_isometry_from_correspondence,
+    space_to_csv,
+    space_to_json,
+)
 from qmet.cli import dispatch
-from qmet.errors import ParseError, ValidationError
+from qmet.errors import ParseError, QmetError, ValidationError
 from qmet.io import load_map
+from qmet.tolerances import ledger
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "qmet" / "schemas"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=12,
+)
+
+
+def square_matrices(entries):
+    return st.integers(0, 4).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+
+# numeric square matrices reach the labels check; the rest stop earlier
+SPACE_D = st.one_of(
+    square_matrices(st.integers(0, 3) | st.floats(0, 3)), square_matrices(JSON_VALUES), JSON_VALUES
+)
+
+
+def plain(obj):
+    """obj as it reads back from JSON (tuples become lists)."""
+    return json.loads(json.dumps(obj))
 
 
 def load_schema(name):
@@ -90,6 +128,37 @@ class TestParsing:
         p = tmp_path / "map.json"
         p.write_text('{"map": [1.0, 0]}')
         assert load_map(p) == [1, 0]
+
+    @pytest.mark.parametrize("labels", ["5", '"ab"', '{"0": "a", "1": "b"}', "true"])
+    def test_labels_must_be_a_list(self, labels):
+        with pytest.raises(ParseError, match="labels"):
+            parse_space(f'{{"labels": {labels}, "d": [[0, 0], [1, 0]]}}')
+
+    def test_non_utf8_input(self, tmp_path):
+        p = tmp_path / "space.json"
+        p.write_bytes(b"\xff\xfe\x00")
+        with pytest.raises(ParseError, match="UTF-8"):
+            parse_space(p)
+        with pytest.raises(ParseError, match="UTF-8"):
+            load_map(p)
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"d": [[' + "9" * 5000 + "]]}", "[" * 100_000 + "]" * 100_000],
+        ids=["long-integer", "deep-nesting"],
+    )
+    def test_json_past_decoder_limits(self, text):
+        with pytest.raises(ParseError):
+            parse_space(text, fmt="json")
+
+    @settings(max_examples=100)
+    @given(SPACE_D, JSON_VALUES)  # "labels": null is the same as no labels
+    @example([[0]], 5)
+    def test_any_d_and_labels_fail_typed(self, d, labels):
+        try:
+            parse_space(json.dumps({"d": d, "labels": labels}), fmt="json")
+        except QmetError:
+            pass
 
     def test_file_roundtrip(self, tmp_path):
         X = demo_space("line3")
@@ -330,6 +399,55 @@ class TestCLI:
     def test_unknown_flag_rejected(self, demo_files):
         with pytest.raises(SystemExit):
             dispatch(["validate", demo_files["sierpinski"], "--frobnicate"])
+
+    @pytest.mark.parametrize("body", [b'{"labels": 5, "d": [[0]]}', b"\xff\xfe\x00"])
+    @pytest.mark.parametrize("role", ["space", "map"])
+    def test_bad_input_file_exits_2(self, capsys, demo_files, tmp_path, body, role):
+        p = tmp_path / "bad.json"
+        p.write_bytes(body)
+        argv = ["validate", str(p)] if role == "space" else [
+            "fixpoint", demo_files["sierpinski"], "--map", str(p)
+        ]
+        code, out, err = self.run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
+    def test_unknown_demo_message(self, capsys):
+        code, out, err = self.run(capsys, "demo", "frob")
+        assert code == 2 and out == ""
+        assert err.startswith("error: unknown demo 'frob'")
+
+    def test_json_payloads_are_the_result_dataclasses(self, capsys, demo_files, tmp_path):
+        def payload_of(command, *argv):
+            code, out, _ = self.run(capsys, command, *argv, "--json")
+            payload = json.loads(out)
+            keys = list(payload)
+            assert keys[0] == "command" and keys[-1] == "tolerances"
+            assert payload.pop("command") == command
+            assert payload.pop("tolerances") == ledger()
+            return code, payload
+
+        X = parse_space(demo_files["runit5"])
+        code, payload = payload_of("validate", demo_files["runit5"])
+        assert code == 0 and payload["classification"] == plain(asdict(X.classification))
+
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"d": [[0, 5, 1], [1, 0, 1], [1, 1, 0]]}')
+        with pytest.raises(ValidationError) as err:
+            parse_space(bad)
+        code, payload = payload_of("validate", str(bad))
+        assert code == 2
+        assert payload == {"ok": False, "classification": plain(asdict(err.value.report))}
+
+        args = ("--samples", "40", "--restarts", "2", "--seed", "3")
+        code, payload = payload_of("delta", demo_files["runit5"], *args)
+        est = estimate_delta(X, samples=40, restarts=2, seed=3)
+        assert code == 0 and payload == plain(asdict(est))
+
+        A, B = parse_space(demo_files["sierpinski"]), parse_space(demo_files["runit5"])
+        code, payload = payload_of("rough-iso", demo_files["sierpinski"], demo_files["runit5"])
+        w = rough_isometry_from_correspondence(gh_exact(A, B).correspondence)
+        assert code == 0 and payload["inverse"] == plain(asdict(rough_inverse(w)))
 
     def test_demo_out_roundtrip(self, capsys, tmp_path):
         out = tmp_path / "m2.json"

@@ -209,6 +209,12 @@ class TestExtend:
         assert np.allclose(out.f1, q.f1, atol=1e-9)
         assert np.allclose(out.f2, q.f2, atol=1e-9)
 
+    @pytest.mark.parametrize("idx", [[5], [-1]])
+    def test_subset_index_out_of_range(self, idx):
+        f = embed_point(QSpace([[0.0]]), 0)
+        with pytest.raises(IndexOutOfRange):
+            extend_from_subspace(S, idx, f)
+
     def test_identity_on_full_subset(self):
         f = project_to_hull(AmplePair(S, [2, 2], [2, 2]))
         out = extend_from_subspace(S, [0, 1], f)

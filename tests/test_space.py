@@ -23,9 +23,11 @@ from qmet.space import VIOLATION_CAP, Violation, _candidates
 from qmet.tolerances import TRIANGLE_TOL
 from qmet.errors import (
     EmptySubset,
+    IndexOutOfRange,
     NegativeEntry,
     NonFiniteEntry,
     NonSquareMatrix,
+    NotIncreasing,
     SizeOverflow,
     ValidationError,
 )
@@ -68,6 +70,15 @@ class TestValidate:
         assert r.satisfies_M2 and r.satisfies_M3
         assert not r.is_metric
         assert any(v.axiom == "M1" for v in r.violations)
+
+    @pytest.mark.parametrize(
+        "matrix, kind",
+        [([[0, 1], [1, 0]], "metric"), ([[0, 0], [1, 0]], "quasi-metric"),
+         ([[0, 0], [0, 0]], "pseudo-quasi-metric"), ([[0, 1], [0, 0]], "quasi-metric")],
+    )
+    def test_kind_is_the_narrowest_class(self, matrix, kind):
+        assert validate(matrix).kind == kind
+        assert f", {kind}, " in repr(QSpace(matrix))
 
     def test_triangle_violation_witness(self):
         r = validate([[0, 5, 1], [1, 0, 1], [1, 1, 0]])
@@ -165,6 +176,18 @@ class TestRestrict:
             SubsetRef(L3, (1, 1))
         with pytest.raises(IndexError):
             SubsetRef(L3, (0, 7))
+
+    @pytest.mark.parametrize(
+        "indices, error",
+        [((0, 7), IndexOutOfRange), ((-1, 1), IndexOutOfRange),
+         ((1, 0), NotIncreasing), ((2, 2), NotIncreasing)],
+    )
+    def test_subset_ref_errors_are_typed(self, indices, error):
+        with pytest.raises(error):
+            SubsetRef(L3, indices)
+        if error is IndexOutOfRange:  # plain index lists take the same check
+            with pytest.raises(error):
+                restrict(L3, list(indices))
 
 
 class TestProduct:

@@ -87,3 +87,10 @@ def test_averaging_only_in_project_to_hull():
         if name in ("project_arrays", "project_to_hull")
     )
     assert found == ["pairs.project_to_hull"]
+
+
+def test_only_dispatch_prints_in_cli():
+    # each command returns (exit code, payload, lines); dispatch alone writes
+    # the report, so the JSON envelope and the ledger line live in one place
+    found = sorted({owner for owner, name in _owned_calls(SRC / "cli.py") if name == "print"})
+    assert found == ["cli.dispatch"]
