@@ -39,6 +39,8 @@ from .tolerances import TRIANGLE_TOL, ledger
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
+# hull and delta allocate their sample buffers up front, so --samples is capped
+MAX_SAMPLES = 10**6
 
 Report = tuple[int, dict, list[str]]  # (exit code, JSON payload, human lines)
 
@@ -200,13 +202,14 @@ def cmd_demo(args) -> Report:
     return EXIT_OK, payload, [f"{args.name}: {X!r}", *_matrix_lines(X.d)]
 
 
-def _at_least(least: int):
-    """argparse type for an integer (a count or a seed) of at least ``least``."""
+def _integer(least: int, most: int | None = None):
+    """argparse type for an integer (a count or a seed) in [least, most]."""
 
     def integer(text: str) -> int:  # argparse names it in "invalid integer value"
         value = int(text)
-        if value < least:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
+        if value < least or (most is not None and value > most):
+            span = f">= {least}" if most is None else f"in [{least}, {most}]"
+            raise argparse.ArgumentTypeError(f"expected an integer {span}, got {text!r}")
         return value
 
     return integer
@@ -247,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("hull", cmd_hull, help="sample a certified net of the hull")
     p.add_argument("space")
-    p.add_argument("--samples", type=_at_least(0), default=100)
-    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--samples", type=_integer(0, MAX_SAMPLES), default=100)
+    p.add_argument("--seed", type=_integer(0), default=0)
     p.add_argument("--matrix", action="store_true", help="print the induced matrix")
     p.add_argument("--out")
 
@@ -256,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--exact", action="store_true", help="search without a node budget")
-    p.add_argument("--budget", type=_at_least(1), default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_integer(1), default=DEFAULT_BUDGET)
     p.add_argument("--witness", help="write a rough-isometry witness JSON here")
 
     p = add("rough-iso", cmd_rough_iso, help="verify or derive a rough isometry")
@@ -267,9 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("delta", cmd_delta, help="estimate the coarse-injectivity constant")
     p.add_argument("space")
-    p.add_argument("--samples", type=_at_least(1), default=200)
-    p.add_argument("--restarts", type=_at_least(0), default=6)
-    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--samples", type=_integer(1, MAX_SAMPLES), default=200)
+    p.add_argument("--restarts", type=_integer(0), default=6)
+    p.add_argument("--seed", type=_integer(0), default=0)
 
     p = add("fixpoint", cmd_fixpoint, help="least displacement of a non-expansive map")
     p.add_argument("space")

@@ -94,8 +94,8 @@ def rng_spaces(count, n, seed, scale=1.0, symmetric=False):
 
 def reference_gh(X, Y, budget=DEFAULT_BUDGET):
     """The recursive branch and bound that ``gh_exact`` replaced, kept as
-    its reference: same levels, candidate order, pruning and node count,
-    one Python frame per level and one numpy reduction per candidate."""
+    its reference: same levels and candidate order, one Python frame per
+    level and one numpy reduction per candidate, no look-ahead bound."""
     wx = X.d if isinstance(X, QSpace) else np.asarray(X, dtype=float)
     wy = Y.d if isinstance(Y, QSpace) else np.asarray(Y, dtype=float)
     nx, ny = len(wx), len(wy)

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,11 +17,13 @@ from qmet import (
     glue_space,
     hausdorff,
     is_isometric,
+    random_qspace,
     rough_inverse,
     rough_isometry_from_correspondence,
     verify_rough_isometry,
 )
 from qmet.errors import EpsTooSmall, IndexOutOfRange, NotACorrespondence
+from qmet.gh import DEFAULT_BUDGET
 from helpers import (
     brute_gh,
     permuted_copy,
@@ -121,8 +124,16 @@ class TestGHExact:
         assert r.value >= gh_exact(A, B).value - 1e-12
 
 
-def gh_key(r):
-    return r.value, r.exact, r.nodes, r.correspondence.pairs
+def assert_no_worse(got, ref):
+    """The look-ahead skips only subtrees without a leaf that beats the
+    incumbent: where the reference finishes, the result is its result; under
+    any budget the value is never above the reference's; never more nodes."""
+    assert got.nodes <= ref.nodes
+    assert got.value <= ref.value
+    if ref.exact:
+        assert got.exact
+        assert got.value == ref.value
+        assert got.correspondence.pairs == ref.correspondence.pairs
 
 
 @st.composite
@@ -136,22 +147,55 @@ def networks(draw):
 class TestGHAgainstReference:
     @given(qspaces(min_n=1, max_n=5), qspaces(min_n=1, max_n=5))
     def test_spaces(self, X, Y):
-        assert gh_key(gh_exact(X, Y)) == gh_key(reference_gh(X, Y))
+        assert_no_worse(gh_exact(X, Y), reference_gh(X, Y))
 
     @given(networks(), networks())
     def test_networks(self, wa, wb):
-        assert gh_key(gh_exact(wa, wb)) == gh_key(reference_gh(wa, wb))
+        assert_no_worse(gh_exact(wa, wb), reference_gh(wa, wb))
 
     @given(qspaces(max_n=6), qspaces(max_n=6), st.integers(1, 400))
     def test_budgets(self, X, Y, budget):
         got = gh_exact(X, Y, budget=budget)
-        assert gh_key(got) == gh_key(reference_gh(X, Y, budget=budget))
+        assert_no_worse(got, reference_gh(X, Y, budget=budget))
         assert got.exact or got.nodes == budget + 1
+
+
+class TestHeavyTail:
+    def test_random_8_point_pairs(self):
+        # without the look-ahead one of these stays inexact after 2e6 nodes
+        # and another takes 1.3e6
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            random_qspace(7, rng), random_qspace(7, rng)
+        for _ in range(10):
+            X, Y = random_qspace(8, rng), random_qspace(8, rng)
+            r = gh_exact(X, Y, budget=2_000_000)
+            assert r.exact and r.nodes <= 50_000
+
+    def test_random_10_point_pairs(self):
+        rng = np.random.default_rng(10)
+        for _ in range(6):
+            X, Y = random_qspace(10, rng), random_qspace(10, rng)
+            assert gh_exact(X, Y, budget=DEFAULT_BUDGET).exact
 
 
 def line(n):
     x = np.arange(n, dtype=float)
     return QSpace(np.abs(x[:, None] - x[None, :]))
+
+
+def test_search_state_memory():
+    # one cost matrix raised in place with an undo log; a copy of it per
+    # level would peak near 54 MB here
+    L = line(150)
+    tracemalloc.start()
+    try:
+        r = gh_exact(L, L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.exact and r.value == 0.0
+    assert peak < 8_000_000
 
 
 def test_deep_inputs_need_no_recursion():

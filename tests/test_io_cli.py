@@ -18,7 +18,7 @@ from qmet import (
     space_to_csv,
     space_to_json,
 )
-from qmet.cli import dispatch
+from qmet.cli import MAX_SAMPLES, build_parser, dispatch
 from qmet.errors import ParseError, QmetError, ValidationError
 from qmet.io import load_map
 from qmet.tolerances import ledger
@@ -378,6 +378,9 @@ class TestCLI:
             ["gh", "sierpinski", "metric2", "--budget", "-5"],
             ["hull", "sierpinski", "--seed", "-1"],
             ["delta", "sierpinski", "--seed", "-1"],
+            ["hull", "sierpinski", "--samples", "100000000000000000000"],
+            ["delta", "sierpinski", "--samples", "100000000000000000000"],
+            ["hull", "sierpinski", "--samples", str(MAX_SAMPLES + 1)],
         ],
     )
     def test_bad_count_is_a_usage_error(self, capsys, demo_files, argv):
@@ -386,6 +389,11 @@ class TestCLI:
             dispatch(argv)
         assert err.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["hull", "delta"])
+    def test_samples_ceiling_is_inclusive(self, command):
+        args = build_parser().parse_args([command, "s.json", "--samples", str(MAX_SAMPLES)])
+        assert args.samples == MAX_SAMPLES
 
     @pytest.mark.parametrize("command", ["validate", "gh"])
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
