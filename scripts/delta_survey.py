@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Survey of coarse-injectivity constants across demo and random spaces.
 
-Prints the certified lower bound and the heuristic upper value next to the
-analytically derived constant where one is known (the hull of a one-way chain
+Prints the certified bracket [lower, upper] next to the analytically derived
+constant where one is known (the hull of a one-way chain
 is a one-way interval; the hull of the 2-point metric space is the unit
 square under the max metric).
 """
@@ -26,7 +26,6 @@ ANALYTIC = {
 @dataclass
 class Config:
     samples: int = 300
-    restarts: int = 6
     random_spaces: int = 4
     points: int = 4
     seed: int = 0
@@ -42,17 +41,16 @@ def run(cfg: Config) -> int:
         for i in range(cfg.random_spaces)
     ]
     for name, X in rows:
-        est = estimate_delta(X, samples=cfg.samples, restarts=cfg.restarts, seed=cfg.seed)
+        est = estimate_delta(X, samples=cfg.samples)
         ref = ANALYTIC.get(name)
         ref_s = f"{ref:10.4f}" if ref is not None else f"{'-':>10}"
-        print(f"{name:<14} {est.lower:10.6f} {est.heuristic_upper:10.6f} {ref_s}")
+        print(f"{name:<14} {est.lower:10.6f} {est.upper:10.6f} {ref_s}")
     return 0
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--samples", type=int, default=Config.samples)
-    parser.add_argument("--restarts", type=int, default=Config.restarts)
     parser.add_argument("--random-spaces", dest="random_spaces", type=int,
                         default=Config.random_spaces)
     parser.add_argument("--points", type=int, default=Config.points)

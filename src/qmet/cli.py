@@ -6,8 +6,11 @@ nothing; ``dispatch`` alone writes the report.  With --json that is the
 envelope {"command", *payload, "tolerances"}, where the payload takes the
 library's result dataclasses as they are (``AxiomReport``, ``DeltaEstimate``,
 ``RoughInverse``) and validates against the schema files shipped under
-qmet/schemas/; otherwise the lines and then the tolerance ledger.  Exit
-codes: 0 success, 2 validation or parse failure, 3 solver budget exhausted.
+qmet/schemas/; otherwise the lines and then the tolerance ledger.  ``delta``
+reports a certified bracket on the injectivity constant; its --restarts and
+--seed are accepted and ignored.  Exit codes: 0 success, 2 validation or parse
+failure (and, silently, a stdout closed before the report was written), 3
+solver budget exhausted.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -170,10 +174,11 @@ def cmd_rough_iso(args) -> Report:
 
 def cmd_delta(args) -> Report:
     X = _load(args.space, args)
-    est = estimate_delta(X, samples=args.samples, restarts=args.restarts, seed=args.seed)
+    est = estimate_delta(X, samples=args.samples)
     lines = [
-        f"delta lower bound = {_fmt(est.lower)} (certified from sampled hull points)",
-        f"delta heuristic upper = {_fmt(est.heuristic_upper)} (reported, not proven)",
+        f"delta lower bound = {_fmt(est.lower)} (certified)",
+        f"delta upper bound = {_fmt(est.upper)} (certified)",
+        f"boxes evaluated: {est.boxes} of {est.samples}",
     ]
     return EXIT_OK, asdict(est), lines
 
@@ -271,8 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("delta", cmd_delta, help="estimate the coarse-injectivity constant")
     p.add_argument("space")
     p.add_argument("--samples", type=_integer(1, MAX_SAMPLES), default=200)
-    p.add_argument("--restarts", type=_integer(0), default=6)
-    p.add_argument("--seed", type=_integer(0), default=0)
+    # the refinement is deterministic; both are accepted and ignored
+    p.add_argument("--restarts", type=_integer(0), default=6, help="ignored")
+    p.add_argument("--seed", type=_integer(0), default=0, help="ignored")
 
     p = add("fixpoint", cmd_fixpoint, help="least displacement of a non-expansive map")
     p.add_argument("space")
@@ -307,4 +313,12 @@ def dispatch(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch())
+    try:
+        code = dispatch()
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader has gone (``qmet demo list | head -1``): exit without a
+        # traceback, with stdout on devnull so the exit-time flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_INVALID
+    sys.exit(code)

@@ -6,7 +6,7 @@ that every feasible family admits a common point z with d(x_i, z) <= r_i +
 delta and d(z, x_i) <= s_i + delta.  One family's least delta has a closed
 form (``min_delta``); for the family of a hull point it is the symmetrized hull
 distance to the embedded copy of the space, so the constant is how far hull
-points can sit from that copy, and it is estimated here over hull samples.
+points can sit from that copy, and ``estimate_delta`` brackets it.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleFamily, NotMinimal, NotNonexpansive
-from .hull import sample_hull
 from .pairs import AmplePair, dsym, in_hull, retract
 from .space import QSpace, map_table
 from .tolerances import AMPLE_TOL, CERTIFICATION_TOL
 
 NONEXPANSIVE_TOL = 1e-9
+BOX_BATCH = 128  # boxes halved per round of estimate_delta
 
 
 @dataclass(frozen=True)
@@ -101,75 +101,64 @@ def min_delta(X: QSpace, F: BallFamily) -> float:
     return max(float(_excess(X, F).min()), 0.0)
 
 
-def _embedding_gaps(X: QSpace, F1: np.ndarray, F2: np.ndarray) -> np.ndarray:
-    """Per-row min over x of max(||f1 - d(x,.)||, ||f2 - d(.,x)||)."""
-    return dsym(F1[:, None, :], F2[:, None, :], X.d, X.d.T).min(axis=1)
-
-
 def distance_to_embedding(X: QSpace, f: AmplePair) -> float:
     """Symmetrized hull distance from f to the nearest embedded point."""
-    return float(_embedding_gaps(X, f.f1[None, :], f.f2[None, :])[0])
+    return float(dsym(f.f1, f.f2, X.d, X.d.T).min())
 
 
 @dataclass(frozen=True)
 class DeltaEstimate:
-    """A certified lower bound plus a labeled heuristic upper value."""
+    """A certified bracket lower <= delta <= upper, reached after evaluating
+    ``boxes`` boxes of a budget of ``samples``."""
 
     lower: float
-    heuristic_upper: float
+    upper: float
     samples: int
-    restarts: int
-    seed: int
+    boxes: int
 
 
 def estimate_delta(
     X: QSpace, samples: int = 200, restarts: int = 6, seed: int = 0
 ) -> DeltaEstimate:
-    """Estimate the injectivity constant by sampling plus local ascent.
+    """Bracket the injectivity constant by refining boxes [a, b] of f1 values.
 
-    The lower bound is the best embedding gap over certified hull samples,
-    refined by coordinate perturbation of f1 (sent back to the hull by the
-    exact two-step retraction, accepted on improvement) from the most
-    promising starts.  The upper value adds the stagnation step of the
-    ascent and is reported, not proven.
+    Every hull point is retract(h1) with h1 in [0, diam]^n, and at a hull
+    point f the distance to the embedded point x is max(f1(x), f2(x)), since
+    f1(y) <= f1(x) + d(x, y) and f is ample.  The corners and centre of each
+    box are retracted; their best gap less its residual raises ``lower``.
+    Retract's f1 part is monotone in g and its f2 part, star(g), antitone, so
+    no hull point from the box has a gap above min_x max(P1(b)(x), star(a)(x)).
+    Boxes bounded by ``lower`` are dropped and the highest ones halved along
+    their widest side, until none is left or no two more fit in the budget of
+    ``samples`` evaluated boxes; ``upper`` is the largest bound still standing
+    plus four ulps of the diameter for rounding.  The refinement is
+    deterministic: ``restarts`` and ``seed`` are accepted and ignored.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    H = sample_hull(X, samples, seed)
-    F1 = np.stack([p.f1 for p in H.points])
-    F2 = np.stack([p.f2 for p in H.points])
-    # each sample is within its certified residual of a true hull point, so
-    # discounting the residual keeps the bound a genuine lower bound
-    res = np.array([p.certified_tol or 0.0 for p in H.points])
-    gaps = np.maximum(_embedding_gaps(X, F1, F2) - res, 0.0)
-    lower = float(gaps.max())
-    R = X.diam
-    if R == 0.0 or restarts < 1:
-        return DeltaEstimate(lower, lower, samples, restarts, seed)
-
-    rng = np.random.default_rng(seed + 1)
-    order = np.argsort(-gaps)
-    margin = 0.0
-    floor = 1e-7 * max(R, 1.0)
-    for start in order[:restarts]:
-        f1 = F1[start].copy()
-        cur = float(gaps[start])
-        step = 0.25 * R
-        rounds = 0
-        while step > floor and rounds < 200:
-            rounds += 1
-            C1 = np.maximum(f1[None, :] + rng.uniform(-step, step, (16, X.n)), 0.0)
-            P1, P2, pres = retract(X.d, C1)
-            objs = np.maximum(_embedding_gaps(X, P1, P2) - pres, 0.0)
-            j = int(np.argmax(objs))
-            if objs[j] > cur + 1e-12:
-                cur = float(objs[j])
-                f1 = P1[j].copy()
-            else:
-                step /= 2.0
-        margin = max(margin, step * 2.0)
-        lower = max(lower, cur)
-    return DeltaEstimate(lower, lower + margin, samples, restarts, seed)
+    A, B = np.zeros((1, X.n)), np.full((1, X.n), X.diam)  # boxes to evaluate
+    SA, SB, top = A[:0], B[:0], np.empty(0)  # standing boxes, highest bound first
+    lower, boxes = 0.0, 0
+    while len(A):
+        m = len(A)
+        # rows: the lower corners, the upper corners, the centres
+        P1, P2, res = retract(X.d, np.concatenate([A, B, (A + B) / 2.0]))
+        lower = max(lower, float((np.maximum(P1, P2).min(axis=1) - res).max()))
+        boxes += m
+        top = np.concatenate([top, np.maximum(P1[m : 2 * m], P2[:m]).min(axis=1)])
+        keep = np.flatnonzero(top > lower)
+        keep = keep[np.argsort(-top[keep], kind="stable")]
+        SA, SB, top = np.concatenate([SA, A])[keep], np.concatenate([SB, B])[keep], top[keep]
+        # halve the k highest boxes along their widest side
+        k = min(len(top), BOX_BATCH, (samples - boxes) // 2)
+        A, B = SA[:k], SB[:k]
+        SA, SB, top = SA[k:], SB[k:], top[k:]
+        side = (np.arange(k), np.argmax(B - A, axis=1))
+        A2, B2 = A.copy(), B.copy()
+        A2[side] = B2[side] = (A[side] + B[side]) / 2.0
+        A, B = np.concatenate([A, A2]), np.concatenate([B2, B])
+    upper = float(top.max(initial=lower) + 4.0 * np.finfo(float).eps * max(X.diam, 1.0))
+    return DeltaEstimate(lower, upper, samples, boxes)
 
 
 def _nonexpansive_excess(X: QSpace, T) -> tuple[tuple[int, int], float] | None:

@@ -71,7 +71,7 @@ def sample_hull(X: QSpace, k: int, seed: int = 0) -> HullSample:
 
     def try_add(f1, f2, res) -> bool:
         m = len(points)
-        if dsym(B1[:m], B2[:m], f1, f2).min() < DEDUP_TOL:
+        if dsym(B1[:m], B2[:m], f1, f2).min() <= DEDUP_TOL:
             return False
         points.append(
             AmplePair(X, f1, f2, certified_minimal=True, certified_tol=float(res))

@@ -115,7 +115,7 @@ def validate(matrix, tol: float = TRIANGLE_TOL) -> AxiomReport:
                     if len(violations) >= VIOLATION_CAP:
                         break
 
-    merged = np.argwhere(np.triu((d < tol) & (d.T < tol), 1))
+    merged = np.argwhere(np.triu((d <= tol) & (d.T <= tol), 1))
     m1 = len(merged) == 0
     for i, j in merged[: max(VIOLATION_CAP - len(violations), 0)]:
         violations.append(
@@ -299,30 +299,16 @@ def metric_convexity_defect(X: QSpace) -> float:
     increasing and a decreasing branch; all candidates are enumerated exactly.
     """
     d = X.d
-    n = X.n
     worst = 0.0
-    for x in range(n):
-        for y in range(n):
-            D = d[x, y]
-            if D <= 0.0:
-                continue
-            cands = {0.0, D}
-            for z in range(n):
-                cands.add(d[x, z])
-                cands.add(D - d[z, y])
-            out_leg = d[x, :]
-            in_leg = d[:, y]
-            # crossings of branch (d(x,z2) - r) with branch (d(z1,y) - (D - r))
-            cross = (out_leg[None, :] + D - in_leg[:, None]) / 2.0
-            cands.update(cross.ravel().tolist())
-            for r in cands:
-                r = min(max(r, 0.0), D)
-                s = D - r
-                val = np.maximum(
-                    np.maximum(out_leg - r, 0.0), np.maximum(in_leg - s, 0.0)
-                ).min()
-                if val > worst:
-                    worst = float(val)
+    for x, y in zip(*np.nonzero(d > 0.0)):
+        D, out_leg, in_leg = d[x, y], d[x, :], d[:, y]
+        # kinks of each branch, and crossings of branch (d(x,z2) - r) with
+        # branch (d(z1,y) - (D - r))
+        cross = (out_leg[None, :] + D - in_leg[:, None]) / 2.0
+        r = np.concatenate([[0.0, D], out_leg, D - in_leg, cross.ravel()])
+        r = np.clip(r, 0.0, D)[:, None]
+        val = np.maximum(np.maximum(out_leg - r, 0.0), np.maximum(in_leg - (D - r), 0.0))
+        worst = max(worst, float(val.min(axis=1).max()))
     return worst
 
 

@@ -10,15 +10,16 @@ from qmet.tolerances import AMPLE_TOL
 
 
 @st.composite
-def qspaces(draw, min_n=2, max_n=5, symmetric=False):
+def qspaces(draw, min_n=2, max_n=5, symmetric=False, halves=False):
+    """Closed random spaces; with ``halves``, tie-heavy ones whose distances
+    are all multiples of 1/2."""
     n = draw(st.integers(min_n, max_n))
-    vals = draw(
-        st.lists(
-            st.floats(0.1, 3.0, allow_nan=False, allow_infinity=False),
-            min_size=n * (n - 1),
-            max_size=n * (n - 1),
-        )
+    value = (
+        st.sampled_from([0.5, 1.0, 1.5, 2.0])
+        if halves
+        else st.floats(0.1, 3.0, allow_nan=False, allow_infinity=False)
     )
+    vals = draw(st.lists(value, min_size=n * (n - 1), max_size=n * (n - 1)))
     m = np.zeros((n, n))
     k = 0
     for i in range(n):
@@ -293,3 +294,34 @@ def reference_find_center(X, F, delta, atol=1e-12):
         ).all():
             return z
     return None
+
+
+def reference_convexity_defect(X):
+    """The per-candidate loop that ``metric_convexity_defect`` replaced: a
+    set of candidate splits per pair, each evaluated on its own."""
+    d = X.d
+    n = X.n
+    worst = 0.0
+    for x in range(n):
+        for y in range(n):
+            D = d[x, y]
+            if D <= 0.0:
+                continue
+            cands = {0.0, D}
+            for z in range(n):
+                cands.add(d[x, z])
+                cands.add(D - d[z, y])
+            out_leg = d[x, :]
+            in_leg = d[:, y]
+            # crossings of branch (d(x,z2) - r) with branch (d(z1,y) - (D - r))
+            cross = (out_leg[None, :] + D - in_leg[:, None]) / 2.0
+            cands.update(cross.ravel().tolist())
+            for r in cands:
+                r = min(max(r, 0.0), D)
+                s = D - r
+                val = np.maximum(
+                    np.maximum(out_leg - r, 0.0), np.maximum(in_leg - s, 0.0)
+                ).min()
+                if val > worst:
+                    worst = float(val)
+    return worst

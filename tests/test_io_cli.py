@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -23,7 +26,8 @@ from qmet.errors import ParseError, QmetError, ValidationError
 from qmet.io import load_map
 from qmet.tolerances import ledger
 
-SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "qmet" / "schemas"
+SRC = Path(__file__).resolve().parents[1] / "src"
+SCHEMA_DIR = SRC / "qmet" / "schemas"
 
 
 JSON_VALUES = st.recursive(
@@ -368,6 +372,22 @@ class TestCLI:
         code, _, err = self.run(capsys, "validate", "/nonexistent/space.json")
         assert code == 2
         assert "error" in err
+
+    def test_closed_stdout_is_not_a_crash(self):
+        # as in `qmet demo list | head -1` once head has exited
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qmet", "demo", "list"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr == b""
 
     @pytest.mark.parametrize(
         "argv",

@@ -36,6 +36,7 @@ from helpers import (
     perturbed_space,
     qspaces,
     reference_candidates,
+    reference_convexity_defect,
     reference_is_isometric,
 )
 
@@ -47,11 +48,11 @@ M2 = demo_space("metric2")
 
 def m1_loop(d, tol):
     """Reference for validate's T0 check: every pair i < j with both
-    distances below tol, in loop order."""
+    distances at most tol, in loop order."""
     m1, witnesses = True, []
     for i in range(len(d)):
         for j in range(i + 1, len(d)):
-            if d[i, j] < tol and d[j, i] < tol:
+            if d[i, j] <= tol and d[j, i] <= tol:
                 m1 = False
                 witnesses.append(Violation("M1", (i, j), float(max(d[i, j], d[j, i]))))
     return m1, witnesses
@@ -70,6 +71,12 @@ class TestValidate:
         assert r.satisfies_M2 and r.satisfies_M3
         assert not r.is_metric
         assert any(v.axiom == "M1" for v in r.violations)
+
+    def test_zero_matrix_at_tol_zero_is_not_t0(self):
+        # a pair merges at distance <= tol, the comparison M1*, M2 and M3 use
+        r = validate([[0, 0], [0, 0]], tol=0.0)
+        assert not r.satisfies_M1 and not r.is_metric
+        assert [v.axiom for v in r.violations] == ["M1"]
 
     @pytest.mark.parametrize(
         "matrix, kind",
@@ -106,7 +113,7 @@ class TestValidate:
     @example(30, 1.0, 0)  # no triangle violation, 435 merged pairs: M1 alone hits the cap
     def test_m1_matches_loop(self, n, p_zero, seed):
         rng = np.random.default_rng(seed)
-        near_zero = rng.choice([0.0, 0.5 * TRIANGLE_TOL], (n, n))
+        near_zero = rng.choice([0.0, 0.5 * TRIANGLE_TOL, TRIANGLE_TOL], (n, n))
         far = rng.uniform(0.5, 1.0, (n, n))
         d = np.where(rng.random((n, n)) < p_zero, near_zero, far)
         np.fill_diagonal(d, 0.0)
@@ -277,6 +284,10 @@ class TestDefects:
             metric_convexity_defect(X), abs=1e-12
         )
         assert asym_defect(Y) == pytest.approx(asym_defect(X), abs=1e-12)
+
+    @given(st.one_of(qspaces(max_n=6), qspaces(max_n=6, halves=True)))
+    def test_convexity_matches_candidate_loop(self, X):
+        assert metric_convexity_defect(X) == reference_convexity_defect(X)
 
 
 class TestIsometric:

@@ -1,9 +1,13 @@
 """Checks on the library source itself."""
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "qmet"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "qmet"
 
 
 def test_no_assert_in_library():
@@ -94,3 +98,16 @@ def test_only_dispatch_prints_in_cli():
     # the report, so the JSON envelope and the ledger line live in one place
     found = sorted({owner for owner, name in _owned_calls(SRC / "cli.py") if name == "print"})
     assert found == ["cli.dispatch"]
+
+
+def test_delta_cli_smoke_has_no_failed_operation():
+    # the benchmark checks each delta report against its own numpy oracles;
+    # a bracket that misses the constant counts as a failed operation
+    argv = ["--workload", "delta-cli", "--smoke", "--seconds", "0.1", "--trace", "0"]
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), *argv],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] and result["failed"] == 0, proc.stderr
