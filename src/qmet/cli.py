@@ -7,10 +7,9 @@ envelope {"command", *payload, "tolerances"}, where the payload takes the
 library's result dataclasses as they are (``AxiomReport``, ``DeltaEstimate``,
 ``RoughInverse``) and validates against the schema files shipped under
 qmet/schemas/; otherwise the lines and then the tolerance ledger.  ``delta``
-reports a certified bracket on the injectivity constant; its --restarts and
---seed are accepted and ignored.  Exit codes: 0 success, 2 validation or parse
-failure (and, silently, a stdout closed before the report was written), 3
-solver budget exhausted.
+brackets the injectivity constant and ignores --restarts and --seed.  Exit
+codes: 0 success, 2 validation or parse failure, 3 solver budget exhausted;
+a closed stdout is passed over silently and keeps the run's code.
 """
 
 from __future__ import annotations
@@ -304,21 +303,19 @@ def dispatch(argv=None) -> int:
     except (QmetError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
-    if args.json:
-        print(json.dumps({"command": args.command, **payload, "tolerances": ledger()}, indent=2))
-    else:
-        ledger_line = " ".join(f"{k}={_fmt(v)}" for k, v in ledger().items())
-        print("\n".join([*lines, f"tolerances: {ledger_line}"]))
+    try:
+        if args.json:
+            print(json.dumps({"command": args.command, **payload, "tolerances": ledger()}, indent=2))
+        else:
+            ledger_line = " ".join(f"{k}={_fmt(v)}" for k, v in ledger().items())
+            print("\n".join([*lines, f"tolerances: {ledger_line}"]))
+        sys.stdout.flush()  # a closed pipe raises here at the latest, not at exit
+    except BrokenPipeError:
+        # the reader has gone (``qmet demo list | head -1``): the run's code
+        # stands, and stdout moves to devnull so the exit-time flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 
 def main() -> None:
-    try:
-        code = dispatch()
-        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
-    except BrokenPipeError:
-        # the reader has gone (``qmet demo list | head -1``): exit without a
-        # traceback, with stdout on devnull so the exit-time flush is quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = EXIT_INVALID
-    sys.exit(code)
+    sys.exit(dispatch())

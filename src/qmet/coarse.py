@@ -17,12 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleFamily, NotMinimal, NotNonexpansive
-from .pairs import AmplePair, dsym, in_hull, retract
+from .pairs import AmplePair, dquasi, dsym, in_hull, retract
 from .space import QSpace, map_table
 from .tolerances import AMPLE_TOL, CERTIFICATION_TOL
 
 NONEXPANSIVE_TOL = 1e-9
-BOX_BATCH = 128  # boxes halved per round of estimate_delta
+EVAL_ELEMENTS = 1 << 22  # floats per temporary when boxes are evaluated
 
 
 @dataclass(frozen=True)
@@ -117,22 +117,39 @@ class DeltaEstimate:
     boxes: int
 
 
+def _evaluate_boxes(X: QSpace, A: np.ndarray, B: np.ndarray):
+    """Retract the corners and centre of each box [A, B], with at most
+    EVAL_ELEMENTS floats per (rows, n, n) temporary.  Returns their best gap
+    less its residual and, per box, the least over x of max(D(r(b), e_x),
+    D(e_x, r(a))): no hull point h with r(a) <= h <= r(b) is further from e_x."""
+    d, m = X.d, max(1, EVAL_ELEMENTS // (3 * X.n * X.n))
+    best, bounds = 0.0, []
+    for i in range(0, len(A), m):
+        a, b = A[i : i + m], B[i : i + m]
+        P1, P2, res = retract(d, np.concatenate([a, b, (a + b) / 2.0]))
+        P1, P2 = P1[:, None, :], P2[:, None, :]
+        best = max(best, float((dsym(P1, P2, d, d.T).min(axis=1) - res).max()))
+        (P1a, P1b, _), (P2a, P2b, _) = np.split(P1, 3), np.split(P2, 3)
+        up = np.maximum(dquasi(P1b, P2b, d, d.T), dquasi(d, d.T, P1a, P2a))
+        bounds.append(up.min(axis=1))
+    return best, np.concatenate(bounds)
+
+
 def estimate_delta(
     X: QSpace, samples: int = 200, restarts: int = 6, seed: int = 0
 ) -> DeltaEstimate:
     """Bracket the injectivity constant by refining boxes [a, b] of f1 values.
 
-    Every hull point is retract(h1) with h1 in [0, diam]^n, and at a hull
-    point f the distance to the embedded point x is max(f1(x), f2(x)), since
-    f1(y) <= f1(x) + d(x, y) and f is ample.  The corners and centre of each
-    box are retracted; their best gap less its residual raises ``lower``.
-    Retract's f1 part is monotone in g and its f2 part, star(g), antitone, so
-    no hull point from the box has a gap above min_x max(P1(b)(x), star(a)(x)).
-    Boxes bounded by ``lower`` are dropped and the highest ones halved along
-    their widest side, until none is left or no two more fit in the budget of
-    ``samples`` evaluated boxes; ``upper`` is the largest bound still standing
-    plus four ulps of the diameter for rounding.  The refinement is
-    deterministic: ``restarts`` and ``seed`` are accepted and ignored.
+    Every hull point h is r(h1) with h1 in [0, diam]^n, r = retract.  Its f1
+    part is monotone in g and its f2 part, star(g), antitone, so h from a box
+    lies between r(a) and r(b) in the hull order (f1 up, f2 down), and
+    ``_evaluate_boxes`` bounds its gap with neither the triangle inequality
+    nor a zero diagonal: the bracket holds on every accepted space.  Boxes
+    bounded by ``lower`` are dropped and the highest halved along their
+    widest side, until none is left or no two more fit in the budget of
+    ``samples`` evaluated boxes; ``upper`` is the largest bound left plus four
+    ulps of the diameter for rounding.  The refinement is deterministic:
+    ``restarts`` and ``seed`` are accepted and ignored.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -140,17 +157,14 @@ def estimate_delta(
     SA, SB, top = A[:0], B[:0], np.empty(0)  # standing boxes, highest bound first
     lower, boxes = 0.0, 0
     while len(A):
-        m = len(A)
-        # rows: the lower corners, the upper corners, the centres
-        P1, P2, res = retract(X.d, np.concatenate([A, B, (A + B) / 2.0]))
-        lower = max(lower, float((np.maximum(P1, P2).min(axis=1) - res).max()))
-        boxes += m
-        top = np.concatenate([top, np.maximum(P1[m : 2 * m], P2[:m]).min(axis=1)])
+        best, bounds = _evaluate_boxes(X, A, B)
+        lower, boxes = max(lower, best), boxes + len(A)
+        top = np.concatenate([top, bounds])
         keep = np.flatnonzero(top > lower)
         keep = keep[np.argsort(-top[keep], kind="stable")]
         SA, SB, top = np.concatenate([SA, A])[keep], np.concatenate([SB, B])[keep], top[keep]
         # halve the k highest boxes along their widest side
-        k = min(len(top), BOX_BATCH, (samples - boxes) // 2)
+        k = min(len(top), (samples - boxes) // 2)
         A, B = SA[:k], SB[:k]
         SA, SB, top = SA[k:], SB[k:], top[k:]
         side = (np.arange(k), np.argmax(B - A, axis=1))

@@ -10,9 +10,11 @@ from qmet.tolerances import AMPLE_TOL
 
 
 @st.composite
-def qspaces(draw, min_n=2, max_n=5, symmetric=False, halves=False):
+def qspaces(draw, min_n=2, max_n=5, symmetric=False, halves=False, closed=True):
     """Closed random spaces; with ``halves``, tie-heavy ones whose distances
-    are all multiples of 1/2."""
+    are all multiples of 1/2.  With ``closed=False`` the drawn matrix, with a
+    diagonal drawn in [0, 0.5], is kept as it is and accepted at a tol as
+    large as its triangle excess and its diagonal."""
     n = draw(st.integers(min_n, max_n))
     value = (
         st.sampled_from([0.5, 1.0, 1.5, 2.0])
@@ -29,6 +31,11 @@ def qspaces(draw, min_n=2, max_n=5, symmetric=False, halves=False):
                 k += 1
     if symmetric:
         m = np.maximum(m, m.T)
+    if not closed:
+        m[np.diag_indices(n)] = draw(st.lists(st.floats(0.0, 0.5), min_size=n, max_size=n))
+        # the form of validate's check: d(i, j) - (d(i, k) + d(k, j))
+        excess = (m[:, None, :] - (m[:, :, None] + m)).max()
+        return QSpace(m, tol=max(excess, m.diagonal().max()))
     return QSpace(triangle_closure(m))
 
 

@@ -24,6 +24,7 @@ from qmet import (
     random_qspace,
     sample_hull,
 )
+from qmet import coarse
 from qmet.errors import IndexOutOfRange, InfeasibleFamily, NotMinimal, NotNonexpansive
 from qmet.pairs import AmplePair
 from helpers import (
@@ -235,8 +236,8 @@ SMALL_SPACES = st.one_of(
 
 
 class TestDeltaBracket:
-    @given(SMALL_SPACES)
-    @settings(max_examples=15)
+    @given(st.one_of(SMALL_SPACES, qspaces(max_n=4, closed=False)))
+    @settings(max_examples=20)
     def test_bracket_holds_against_the_oracles(self, X):
         est = estimate_delta(X, samples=300)
         assert est.lower <= est.upper and est.boxes <= est.samples
@@ -246,10 +247,31 @@ class TestDeltaBracket:
         G = np.random.default_rng(X.n).uniform(0.0, X.diam, (2000, X.n))
         assert oracles.embedding_gaps(X.d, *oracles.retract(X.d, G)).max() <= est.upper + tol
 
+    @pytest.mark.parametrize("name", ["runit5", "sierpinski"])
+    def test_evaluation_in_chunks_changes_nothing(self, monkeypatch, name):
+        X = demo_space(name)
+        whole = estimate_delta(X, samples=300)
+        monkeypatch.setattr(coarse, "EVAL_ELEMENTS", 2 * 3 * X.n * X.n)  # two boxes
+        assert estimate_delta(X, samples=300) == whole
+        monkeypatch.setattr(coarse, "EVAL_ELEMENTS", 1)  # one box
+        assert estimate_delta(X, samples=300) == whole
+
+    def test_unclosed_space(self):
+        # accepted at tol=1 with a triangle excess of 1: retract(0) is the
+        # hull point ((0, 0, 0), (3, 1, 3)), which sits 2 from every e_x,
+        # though max(f1(x), f2(x)) is only 1 at x = 1
+        X = QSpace([[0, 1, 3], [1, 0, 1], [3, 1, 0]], tol=1)
+        f = AmplePair(X, [0, 0, 0], [3, 1, 3])
+        assert distance_to_embedding(X, f) == 2.0
+        assert np.maximum(f.f1, f.f2).min() == 1.0
+        est = estimate_delta(X, samples=300)
+        assert est.lower == 2.0 and 2.0 <= est.upper <= 2.0 + oracles.ulp_slack(X.diam)
+
     @given(SMALL_SPACES, st.integers(0, 10_000))
     @settings(max_examples=15)
     def test_hull_distance_to_embedding_is_diagonal_max(self, X, seed):
-        # f1(y) <= f1(x) + d(x, y) and ampleness leave only the y = x terms
+        # on a closed space f1(y) <= f1(x) + d(x, y) and ampleness leave only
+        # the y = x terms
         slack = oracles.ulp_slack(X.diam)
         for f in sample_hull(X, 20, seed).points:
             gap = np.maximum(f.f1, f.f2).min()

@@ -373,20 +373,31 @@ class TestCLI:
         assert code == 2
         assert "error" in err
 
-    def test_closed_stdout_is_not_a_crash(self):
-        # as in `qmet demo list | head -1` once head has exited
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["demo", "list"], 0),  # fits the buffer: the flush meets the pipe
+            (["hull", "runit5", "--samples", "40", "--json"], 0),  # print meets it
+            (["gh", "line3", "runit5", "--budget", "3", "--json"], 3),
+        ],
+        ids=["flush", "print", "budget"],
+    )
+    def test_closed_stdout_is_not_a_crash(self, demo_files, argv, code):
+        # as in `qmet demo list | head -1` once head has exited: no message,
+        # and the exit code is the run's
+        argv = [str(demo_files.get(a, a)) for a in argv]
         read_end, write_end = os.pipe()
         os.close(read_end)
         path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
         env = {**os.environ, "PYTHONPATH": path}
         try:
             proc = subprocess.run(
-                [sys.executable, "-m", "qmet", "demo", "list"],
+                [sys.executable, "-m", "qmet", *argv],
                 stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
             )
         finally:
             os.close(write_end)
-        assert proc.returncode == 2
+        assert proc.returncode == code
         assert proc.stderr == b""
 
     @pytest.mark.parametrize(
