@@ -9,12 +9,14 @@ library's result dataclasses as they are (``AxiomReport``, ``DeltaEstimate``,
 qmet/schemas/; otherwise the lines and then the tolerance ledger.  ``delta``
 brackets the injectivity constant and ignores --restarts and --seed.  Exit
 codes: 0 success, 2 validation or parse failure, 3 solver budget exhausted;
-a closed stdout is passed over silently and keeps the run's code.
+a closed stdout is passed over silently and keeps the run's code.  The
+parser is built once per process; each ``dispatch`` only parses.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -115,7 +117,7 @@ def cmd_hull(args) -> Report:
         payload["matrix"] = [list(map(float, row)) for row in Q.d]
         lines += _matrix_lines(Q.d)
     if args.out:
-        Path(args.out).write_text(json.dumps(qio.hull_to_obj(H)))
+        Path(args.out).write_text(json.dumps(payload["sample"]))
     return EXIT_OK, payload, lines
 
 
@@ -230,6 +232,7 @@ def _tolerance(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmet", description="finite quasi-metric space toolkit"

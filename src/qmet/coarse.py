@@ -17,12 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleFamily, NotMinimal, NotNonexpansive
-from .pairs import AmplePair, dquasi, dsym, in_hull, retract
+from .pairs import EVAL_ELEMENTS, AmplePair, dquasi, dsym, in_hull, retract
 from .space import QSpace, map_table
 from .tolerances import AMPLE_TOL, CERTIFICATION_TOL
 
 NONEXPANSIVE_TOL = 1e-9
-EVAL_ELEMENTS = 1 << 22  # floats per temporary when boxes are evaluated
 
 
 @dataclass(frozen=True)

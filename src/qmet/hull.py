@@ -8,20 +8,13 @@ retracted random candidates.  Nets are deterministic given (space, k, seed).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NotMetric
-from .gh import Correspondence, distortion
-from .pairs import (
-    AmplePair,
-    dquasi,
-    dsym,
-    embed_point,
-    flat,
-    retract,
-    star,
-)
+from .gh import Correspondence
+from .pairs import EVAL_ELEMENTS, AmplePair, dquasi, dsym, embed_point, residual, retract_points
 from .space import QSpace
 from .tolerances import CERTIFICATION_TOL, DEDUP_TOL
 
@@ -33,7 +26,8 @@ class HullSample:
     """A certified net of hull points; the point embeddings always come first.
 
     ``spread`` is the minimum pairwise sym-distance among the stored points
-    (inf for a single point).
+    (inf for a single point).  ``arrays`` is the net as one read-only
+    (2, m, n) stack, built on first use: ``F1, F2 = H.arrays``.
     """
 
     space: QSpace
@@ -41,12 +35,11 @@ class HullSample:
     seed: int
     spread: float
 
-
-def _stack(points) -> tuple[np.ndarray, np.ndarray]:
-    return (
-        np.stack([p.f1 for p in points]),
-        np.stack([p.f2 for p in points]),
-    )
+    @cached_property
+    def arrays(self) -> np.ndarray:
+        F = np.array([[p.f1 for p in self.points], [p.f2 for p in self.points]])
+        F.setflags(write=False)
+        return F
 
 
 def sample_hull(X: QSpace, k: int, seed: int = 0) -> HullSample:
@@ -57,53 +50,68 @@ def sample_hull(X: QSpace, k: int, seed: int = 0) -> HullSample:
     rest perturb the f1 of already accepted members by bounded bumps and
     retract again; the bump radius starts at 0.25 diam and halves whenever a
     candidate collapses onto an existing point.  The point embeddings are
-    always included (first).
+    always included (first).  Candidates are deduplicated in blocks (a
+    perturbation is a block of one) of at most EVAL_ELEMENTS floats per
+    temporary; ``spread`` is the least gap seen there or between embeddings.
+    Residuals are measured once, at the end, for the kept points only.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     rng = np.random.default_rng(seed)
-    points = [embed_point(X, i) for i in range(X.n)]
-    # the pool of accepted points, grown in place; rows [:len(points)] are live
-    B1 = np.empty((X.n + k, X.n))
-    B2 = np.empty((X.n + k, X.n))
-    B1[: X.n], B2[: X.n] = _stack(points)
+    d, n = X.d, X.n
+    points = [embed_point(X, i) for i in range(n)]
+    # the pool of accepted points, grown in place; rows [:m] are live
+    B1, B2 = np.empty((n + k, n)), np.empty((n + k, n))
+    B1[:n], B2[:n] = d, d.T  # the embeddings x -> (d(x, .), d(., x))
+    gaps = dsym(d[:, None, :], d.T[:, None, :], d, d.T)
+    np.fill_diagonal(gaps, np.inf)
+    spread, m = gaps.min(), n
+    rows = max(1, EVAL_ELEMENTS // (n * (n + k)))  # (rows, n + k, n) fits the cap
+
+    def add(P1, P2) -> int:
+        """Keep each row further than DEDUP_TOL from all kept before it; count them."""
+        nonlocal spread, m
+        B1[m : m + len(P1)], B2[m : m + len(P1)] = P1, P2
+        G = dsym(P1[:, None, :], P2[:, None, :], B1[: m + len(P1)], B2[: m + len(P1)])
+        kept = []
+        for i in range(len(P1)):
+            gap = G[i, : m + i].min()
+            if gap <= DEDUP_TOL:
+                G[:, m + i] = np.inf  # a dropped row is no neighbour
+            else:
+                kept.append(i)
+                spread = min(spread, gap)
+        B1[m : m + len(kept)], B2[m : m + len(kept)] = P1[kept], P2[kept]
+        m += len(kept)
+        return len(kept)
+
     R = X.diam
-
-    def try_add(f1, f2, res) -> bool:
-        m = len(points)
-        if dsym(B1[:m], B2[:m], f1, f2).min() <= DEDUP_TOL:
-            return False
-        points.append(
-            AmplePair(X, f1, f2, certified_minimal=True, certified_tol=float(res))
-        )
-        B1[m], B2[m] = f1, f2
-        return True
-
     if k > 0 and R > 0.0:
         n_fresh = (k + 1) // 2
-        C1 = rng.uniform(0.0, 2.0 * R, size=(n_fresh, X.n))
-        P1, P2, res = retract(X.d, C1)
-        for i in range(n_fresh):
-            try_add(P1[i], P2[i], res[i])
+        C1 = rng.uniform(0.0, 2.0 * R, size=(n_fresh, n))
+        for lo in range(0, n_fresh, rows):
+            add(*retract_points(d, C1[lo : lo + rows]))
 
         radius = PERTURB_RADIUS_FACTOR * R
         floor = R * 2.0 ** -30
         for _ in range(k - n_fresh):
-            base = int(rng.integers(0, len(points)))
-            g1 = np.maximum(B1[base] + rng.uniform(-radius, radius, size=X.n), 0.0)
-            p1, p2, res = retract(X.d, g1)
-            if not try_add(p1, p2, res) and radius > floor:
+            base = int(rng.integers(0, m))
+            g1 = np.maximum(B1[base] + rng.uniform(-radius, radius, size=n), 0.0)
+            if not add(*retract_points(d, g1[None, :])) and radius > floor:
                 radius /= 2.0
 
-    F1, F2 = B1[: len(points)], B2[: len(points)]
-    gaps = dsym(F1[:, None, :], F2[:, None, :], F1, F2)
-    np.fill_diagonal(gaps, np.inf)
-    return HullSample(X, tuple(points), seed, float(gaps.min()))
+    for lo in range(n, m, rows):
+        F1, F2 = B1[lo : min(lo + rows, m)], B2[lo : min(lo + rows, m)]
+        points += [
+            AmplePair(X, f1, f2, certified_minimal=True, certified_tol=float(r))
+            for f1, f2, r in zip(F1, F2, residual(d, F1, F2))
+        ]
+    return HullSample(X, tuple(points), seed, float(spread))
 
 
 def _net_matrix(H: HullSample) -> np.ndarray:
     """Hull quasi-metric among the net points, base matrix in the first block."""
-    F1, F2 = _stack(H.points)
+    F1, F2 = H.arrays
     D = dquasi(F1[:, None, :], F2[:, None, :], F1, F2)
     n = H.space.n
     D[:n, :n] = H.space.d
@@ -140,17 +148,17 @@ def metric_diag_check(X: QSpace, H: HullSample, tol: float = CERTIFICATION_TOL) 
     """
     if not X.classification.satisfies_M3:
         raise NotMetric("diagonal check requires a symmetric space")
-    diag = [p for p in H.points if np.abs(p.f1 - p.f2).max() <= tol]
-    n_off = len(H.points) - len(diag)
+    F1, F2 = H.arrays
+    diag = np.abs(F1 - F2).T.max(axis=0) <= tol
+    D1, D2 = F1[diag], F2[diag]
     worst_res = worst_disc = 0.0
-    if diag:
-        D1, D2 = _stack(diag)
-        worst_res = float(dsym(D1, D2, flat(X.d, D2), star(X.d, D1)).max())
+    if len(D1):
+        worst_res = float(residual(X.d, D1, D2).max())
         # dsym of the pairs (f1, f1) and (g1, g1) is the sup norm of f1 - g1
         sup = dsym(D1[:, None, :], D1[:, None, :], D1, D1)
         sym = dsym(D1[:, None, :], D2[:, None, :], D1, D2)
         worst_disc = float(np.abs(sym - sup).max())
-    return DiagonalReport(len(diag), n_off, worst_res, worst_disc)
+    return DiagonalReport(len(D1), len(F1) - len(D1), worst_res, worst_disc)
 
 
 def net_gh_upper(HX: HullSample, HY: HullSample) -> float:
@@ -159,22 +167,28 @@ def net_gh_upper(HX: HullSample, HY: HullSample) -> float:
     For nets over spaces on the same index set (e.g. perturbation pairs): each
     net point's f1, inflated by half the matrix perturbation, is retracted onto
     the other space's hull and snapped to the nearest net point there; the two
-    snapped maps assemble a correspondence whose half-distortion bounds the
-    net GH distance from above.  A net approximation, not a proof-grade value.
+    snapped maps phi and psi assemble a correspondence whose half-distortion
+    bounds the net GH distance from above.  A net approximation, not a
+    proof-grade value.  Two related pairs (i, phi i) or (psi j, j) fall in
+    one of four blocks, MX against MY[phi][:, phi], MX[psi][:, psi] against
+    MY, MX[:, psi] against MY[phi, :] and MX[psi, :] against MY[:, phi],
+    whose largest gap is the distortion of the whole relation.
     """
-    X, Y = HX.space, HY.space
-    if X.n != Y.n:
+    if HX.space.n != HY.space.n:
         raise ValueError("net GH bound requires spaces on the same index set")
-    eta = float(np.abs(X.d - Y.d).max())
+    pad = float(np.abs(HX.space.d - HY.space.d).max()) / 2.0
 
-    def snapped(source: HullSample, target: HullSample, pad: float):
-        F1 = np.stack([p.f1 for p in source.points])
-        P1, P2, _ = retract(target.space.d, F1 + pad)
-        T1, T2 = _stack(target.points)
-        return dsym(P1[:, None, :], P2[:, None, :], T1, T2).argmin(axis=1).tolist()
+    def snapped(source: HullSample, target: HullSample) -> np.ndarray:
+        P1, P2 = retract_points(target.space.d, source.arrays[0] + pad)
+        return dsym(P1[:, None, :], P2[:, None, :], *target.arrays).argmin(axis=1)
 
-    pairs = list(enumerate(snapped(HX, HY, eta / 2.0)))
-    pairs += [(i, j) for j, i in enumerate(snapped(HY, HX, eta / 2.0))]
-    # the net matrices are valid by construction: compare them as networks
-    R = Correspondence(_net_matrix(HX), _net_matrix(HY), tuple(sorted(set(pairs))))
-    return distortion(R) / 2.0
+    phi, psi = snapped(HX, HY), snapped(HY, HX)
+    MX, MY = _net_matrix(HX), _net_matrix(HY)
+    # the cover check and witness; net matrices are valid, so compared as networks
+    Correspondence(MX, MY, {*enumerate(phi.tolist()), *zip(psi.tolist(), range(len(psi)))})
+    return float(max(
+        np.abs(MX - MY[phi][:, phi]).max(),
+        np.abs(MX[psi][:, psi] - MY).max(),
+        np.abs(MX[:, psi] - MY[phi, :]).max(),
+        np.abs(MX[psi, :] - MY[:, phi]).max(),
+    )) / 2.0

@@ -10,9 +10,9 @@ conjugation
 The conjugations ``star`` (least f2 for f1) and ``flat`` (least f1 for f2)
 form an antitone Galois connection, so ``retract`` sends any g >= 0 exactly
 onto the hull point (flat(star(g)), star(g)).  On an ample pair f, retract(f1)
-lies below f, fixes the hull and is non-expansive; every internal caller uses
-it, and only the public ``project_to_hull`` averages f with its double
-conjugate.  The hull carries the quasi-metric
+lies below f, fixes the hull and is non-expansive; internal callers use it or
+``retract_points`` (no residual), and only the public ``project_to_hull``
+averages f with its double conjugate.  The hull carries the quasi-metric
 
     D(f, g) = max( max_x (f1 - g1)+ , max_x (g2 - f2)+ ),
 
@@ -42,6 +42,7 @@ from .space import QSpace, subset_indices
 from .tolerances import AMPLE_TOL, CERTIFICATION_TOL, PROJECTION_TOL
 
 PROJECTION_MAX_ITER = 200
+EVAL_ELEMENTS = 1 << 22  # floats per broadcast temporary where callers chunk
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,6 +130,18 @@ def dquasi(F1: np.ndarray, F2: np.ndarray, G1: np.ndarray, G2: np.ndarray) -> np
     return np.maximum(up, np.maximum(_lead(G2, F2).max(axis=0), 0.0)).T
 
 
+def residual(d: np.ndarray, F1: np.ndarray, F2: np.ndarray) -> np.ndarray:
+    """Double-conjugation residual of stacked pairs: the symmetrized distance
+    from f to (flat(f2), star(f1)), 0 exactly on the hull."""
+    return dsym(F1, F2, flat(d, F2), star(d, F1))
+
+
+def retract_points(d: np.ndarray, G: np.ndarray):
+    """``retract`` without the residuals: the hull points (P1, P2) of g >= 0."""
+    P2 = star(d, G)
+    return np.minimum(flat(d, P2), G), P2
+
+
 def retract(d: np.ndarray, G: np.ndarray):
     """Hull points (flat(star(g)), star(g)) for g >= 0; returns (P1, P2, residuals).
 
@@ -136,10 +149,8 @@ def retract(d: np.ndarray, G: np.ndarray):
     P1 is clamped by G, so the result sits entrywise below (g, star(g));
     ``residuals`` is each row's measured double-conjugation residual.
     """
-    P2 = star(d, G)
-    S1 = flat(d, P2)
-    P1 = np.minimum(S1, G)
-    return P1, P2, dsym(P1, P2, S1, star(d, P1))
+    P1, P2 = retract_points(d, G)
+    return P1, P2, residual(d, P1, P2)
 
 
 def double_conjugate(f: AmplePair) -> AmplePair:
@@ -187,7 +198,7 @@ def project_arrays(
             raise NoConvergence(max_iter, float(prev_gap))
     np.minimum(G1, F1, out=G1)
     np.minimum(G2, F2, out=G2)
-    return G1, G2, dsym(G1, G2, flat(d, G2), star(d, G1))
+    return G1, G2, residual(d, G1, G2)
 
 
 def project_to_hull(
@@ -207,8 +218,8 @@ def project_to_hull(
 
 def in_hull(f: AmplePair, tol: float = CERTIFICATION_TOL) -> bool:
     """True when f is its own double conjugate within tol (minimality)."""
-    s = double_conjugate(f)
-    return bool(dsym(f.f1, f.f2, s.f1, s.f2) <= tol)
+    _require_ample(f)
+    return bool(residual(f.space.d, f.f1, f.f2) <= tol)
 
 
 def pair_dist(f: AmplePair, g: AmplePair, mode: str = "D") -> float:
@@ -235,9 +246,8 @@ def embed_point(X: QSpace, x: int) -> AmplePair:
     if not 0 <= x < X.n:
         raise IndexOutOfRange(f"point index {x} out of range for n={X.n}")
     f = AmplePair(X, X.d[x, :], X.d[:, x])
-    s = double_conjugate(f)
-    res = float(dsym(f.f1, f.f2, s.f1, s.f2))
-    return replace(f, certified_minimal=True, certified_tol=res)
+    _require_ample(f)
+    return replace(f, certified_minimal=True, certified_tol=float(residual(X.d, f.f1, f.f2)))
 
 
 def ample_completion(X: QSpace, f1) -> AmplePair:

@@ -5,8 +5,9 @@ import numpy as np
 
 from qmet import QSpace, ample_completion, random_qspace, triangle_closure
 from qmet.gh import DEFAULT_BUDGET, Correspondence, GHResult, distortion
-from qmet.pairs import AmplePair
-from qmet.tolerances import AMPLE_TOL
+from qmet.hull import PERTURB_RADIUS_FACTOR, HullSample
+from qmet.pairs import AmplePair, dsym, embed_point, retract
+from qmet.tolerances import AMPLE_TOL, DEDUP_TOL
 
 
 @st.composite
@@ -259,6 +260,76 @@ def reference_net_matrix(H):
     n = H.space.n
     D[:n, :n] = H.space.d
     return D
+
+
+def reference_sample_hull(X, k, seed=0):
+    """The sampler that ``sample_hull`` replaced, kept as its reference: one
+    candidate at a time against the whole pool, a residual and an AmplePair
+    per candidate, and the spread from the full (m, m, n) gap stack."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    rng = np.random.default_rng(seed)
+    points = [embed_point(X, i) for i in range(X.n)]
+    B1 = np.empty((X.n + k, X.n))
+    B2 = np.empty((X.n + k, X.n))
+    B1[: X.n] = np.stack([p.f1 for p in points])
+    B2[: X.n] = np.stack([p.f2 for p in points])
+    R = X.diam
+
+    def try_add(f1, f2, res):
+        m = len(points)
+        if dsym(B1[:m], B2[:m], f1, f2).min() <= DEDUP_TOL:
+            return False
+        points.append(
+            AmplePair(X, f1, f2, certified_minimal=True, certified_tol=float(res))
+        )
+        B1[m], B2[m] = f1, f2
+        return True
+
+    if k > 0 and R > 0.0:
+        n_fresh = (k + 1) // 2
+        C1 = rng.uniform(0.0, 2.0 * R, size=(n_fresh, X.n))
+        P1, P2, res = retract(X.d, C1)
+        for i in range(n_fresh):
+            try_add(P1[i], P2[i], res[i])
+
+        radius = PERTURB_RADIUS_FACTOR * R
+        floor = R * 2.0 ** -30
+        for _ in range(k - n_fresh):
+            base = int(rng.integers(0, len(points)))
+            g1 = np.maximum(B1[base] + rng.uniform(-radius, radius, size=X.n), 0.0)
+            p1, p2, res = retract(X.d, g1)
+            if not try_add(p1, p2, res) and radius > floor:
+                radius /= 2.0
+
+    F1, F2 = B1[: len(points)], B2[: len(points)]
+    gaps = dsym(F1[:, None, :], F2[:, None, :], F1, F2)
+    np.fill_diagonal(gaps, np.inf)
+    return HullSample(X, tuple(points), seed, float(gaps.min()))
+
+
+def reference_net_gh_upper(HX, HY):
+    """The net GH bound that ``net_gh_upper`` replaced, kept as its
+    reference: the snapped maps assembled into one correspondence whose
+    distortion is taken over the whole relation at once."""
+    X, Y = HX.space, HY.space
+    if X.n != Y.n:
+        raise ValueError("net GH bound requires spaces on the same index set")
+    eta = float(np.abs(X.d - Y.d).max())
+
+    def snapped(source, target, pad):
+        F1 = np.stack([p.f1 for p in source.points])
+        P1, P2, _ = retract(target.space.d, F1 + pad)
+        T1 = np.stack([p.f1 for p in target.points])
+        T2 = np.stack([p.f2 for p in target.points])
+        return dsym(P1[:, None, :], P2[:, None, :], T1, T2).argmin(axis=1).tolist()
+
+    pairs = list(enumerate(snapped(HX, HY, eta / 2.0)))
+    pairs += [(i, j) for j, i in enumerate(snapped(HY, HX, eta / 2.0))]
+    R = Correspondence(
+        reference_net_matrix(HX), reference_net_matrix(HY), tuple(sorted(set(pairs)))
+    )
+    return distortion(R) / 2.0
 
 
 def reference_candidates(X, Y, tol):

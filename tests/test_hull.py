@@ -1,4 +1,6 @@
 import hashlib
+import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -17,8 +19,15 @@ from qmet import (
     random_qspace,
     sample_hull,
 )
-from qmet.errors import NotMetric
-from helpers import perturbed_space, qspaces
+from qmet.errors import NotMetric, QmetError
+from qmet.hull import HullSample
+from qmet.pairs import AmplePair, embed_point
+from helpers import (
+    perturbed_space,
+    qspaces,
+    reference_net_gh_upper,
+    reference_sample_hull,
+)
 
 S = demo_space("sierpinski")
 M2 = demo_space("metric2")
@@ -174,3 +183,75 @@ def test_pinned_net():
     digest = hashlib.sha256(F.tobytes()).hexdigest()
     assert digest == "a31eac6456e4af088af72195955a72ba6cbdb60b71eba0e039d874d6180a0bd0"
     assert H.spread == 2.805247637743813e-05
+
+
+def assert_same_net(H, ref):
+    assert len(H.points) == len(ref.points)
+    for p, q in zip(H.points, ref.points):
+        assert np.array_equal(p.f1, q.f1) and np.array_equal(p.f2, q.f2)
+        assert p.certified_minimal and q.certified_minimal
+        assert p.certified_tol == q.certified_tol
+    assert H.spread == ref.spread
+
+
+class TestAgainstReference:
+    """The sampler and the net bound against the versions that measured
+    every candidate's residual, took the spread from the full gap stack and
+    the distortion over the whole correspondence."""
+
+    @given(st.data(), st.sampled_from([0, 1, 2, 7, 40]), st.integers(0, 10_000))
+    @settings(max_examples=40)
+    def test_nets_and_bound_are_identical(self, data, k, seed):
+        X = data.draw(qspaces(min_n=1, max_n=6) | qspaces(min_n=1, max_n=6, halves=True))
+        same_n = dict(min_n=X.n, max_n=X.n)
+        Y = data.draw(qspaces(**same_n) | qspaces(**same_n, halves=True))
+        HX, HY = sample_hull(X, k, seed), sample_hull(Y, k, seed + 1)
+        RX, RY = reference_sample_hull(X, k, seed), reference_sample_hull(Y, k, seed + 1)
+        assert_same_net(HX, RX)
+        assert_same_net(HY, RY)
+        assert net_gh_upper(HX, HY) == reference_net_gh_upper(RX, RY)
+
+    @given(qspaces(max_n=4, closed=False), st.sampled_from([0, 1, 2, 7, 40]), st.integers(0, 100))
+    def test_unclosed_spaces_fail_alike(self, X, k, seed):
+        try:
+            ref = reference_sample_hull(X, k, seed)
+        except QmetError as err:
+            with pytest.raises(QmetError) as got:
+                sample_hull(X, k, seed)
+            assert type(got.value) is type(err)
+        else:
+            assert_same_net(sample_hull(X, k, seed), ref)
+
+    def test_pinned_bound_matches(self):
+        rng = np.random.default_rng(4)
+        X = random_qspace(5, rng)
+        Y = perturbed_space(X, rng, 0.1)
+        HX, HY = sample_hull(X, 400, seed=1), sample_hull(Y, 400, seed=2)
+        assert net_gh_upper(HX, HY) == reference_net_gh_upper(HX, HY)
+
+
+def test_arrays_is_a_read_only_stack():
+    points = (embed_point(S, 0), AmplePair(S, [0.5, 0.0], [0.0, 0.5]), embed_point(S, 1))
+    H = HullSample(S, points, 0, 0.5)
+    F1, F2 = H.arrays
+    assert np.array_equal(F1, [p.f1 for p in points])
+    assert np.array_equal(F2, [p.f2 for p in points])
+    assert H.arrays is H.arrays
+    with pytest.raises(ValueError):
+        F1[0, 0] = 1.0
+    with pytest.raises(FrozenInstanceError):
+        H.arrays = np.zeros((2, 3, 2))
+
+
+def test_sample_hull_memory():
+    # the fresh half is deduplicated in blocks and the spread is kept from
+    # the dedup gaps; the (m, m, n) gap stack of all points peaked near 200 MB
+    X = random_qspace(4, np.random.default_rng(1))
+    tracemalloc.start()
+    try:
+        H = sample_hull(X, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(H.points) > 1000
+    assert peak < 80_000_000

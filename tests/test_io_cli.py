@@ -18,6 +18,7 @@ from qmet import (
     parse_space,
     rough_inverse,
     rough_isometry_from_correspondence,
+    sample_hull,
     space_to_csv,
     space_to_json,
 )
@@ -242,6 +243,22 @@ class TestCLI:
         assert code == 0
         assert payload["count"] == len(payload["sample"]["points"])
         assert len(payload["matrix"]) == payload["count"]
+
+    def test_second_call_sees_the_defaults(self, capsys, demo_files, tmp_path):
+        # the parser is built once per process; each call must still parse
+        # into a fresh namespace
+        out_path = tmp_path / "net.json"
+        S = demo_files["sierpinski"]
+        code, payload = self.check_json(
+            capsys, "hull", "hull", S, "--samples", "3", "--json", "--out", str(out_path)
+        )
+        assert code == 0
+        assert json.loads(out_path.read_text()) == payload["sample"]
+        code, out, _ = self.run(capsys, "hull", S)
+        count = len(sample_hull(demo_space("sierpinski"), 100, 0).points)
+        assert code == 0
+        assert out.startswith(f"hull net of 2-point space: {count} points (seed 0,")
+        assert build_parser() is build_parser()
 
     def test_gh_exact_demo_pair(self, capsys, demo_files):
         code, out, _ = self.run(

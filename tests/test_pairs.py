@@ -32,6 +32,7 @@ from qmet.pairs import (
     dsym,
     flat,
     project_arrays,
+    residual,
     retract,
     star,
 )
@@ -324,6 +325,27 @@ class TestRetraction:
         # never above the completion (g, star g) it retracts
         assert (P1 <= G).all() and (P2 <= S).all()
         assert res.max() <= 4 * np.finfo(float).eps * scale
+
+    @given(
+        qspaces(min_n=1, halves=True) | qspaces(min_n=1), st.integers(1, 4), st.integers(0, 1000)
+    )
+    def test_residual_matches_the_inline_forms(self, X, rows, seed):
+        rng = np.random.default_rng(seed)
+        G = rng.uniform(0.0, 2.0 * X.diam + 0.1, (rows, X.n))
+        F2 = rng.uniform(0.0, 2.0 * X.diam + 0.1, (rows, X.n))
+        # project_arrays and metric_diag_check, on any stack of pairs
+        want = dsym(G, F2, flat(X.d, F2), star(X.d, G))
+        assert np.array_equal(residual(X.d, G, F2), want)
+        # retract, which reused flat(P2) from the step that built P1
+        P2 = star(X.d, G)
+        S1 = flat(X.d, P2)
+        P1 = np.minimum(S1, G)
+        assert np.array_equal(retract(X.d, G)[2], dsym(P1, P2, S1, star(X.d, P1)))
+        # embed_point, through the double conjugate of the embedded pair
+        for x in range(X.n):
+            f = AmplePair(X, X.d[x, :], X.d[:, x])
+            s = double_conjugate(f)
+            assert embed_point(X, x).certified_tol == float(dsym(f.f1, f.f2, s.f1, s.f2))
 
 
 class TestKernelLayout:

@@ -100,14 +100,26 @@ def test_only_dispatch_prints_in_cli():
     assert found == ["cli.dispatch"]
 
 
-def test_delta_cli_smoke_has_no_failed_operation():
-    # the benchmark checks each delta report against its own numpy oracles;
-    # a bracket that misses the constant counts as a failed operation
-    argv = ["--workload", "delta-cli", "--smoke", "--seconds", "0.1", "--trace", "0"]
+def _smoke(workload):
+    """The benchmark's smoke run of one workload, as its printed result."""
+    argv = ["--workload", workload, "--smoke", "--seconds", "0.1", "--trace", "0"]
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), *argv],
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["correct"] and result["failed"] == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1]), proc.stderr
+
+
+def test_delta_cli_smoke_has_no_failed_operation():
+    # the benchmark checks each delta report against its own numpy oracles;
+    # a bracket that misses the constant counts as a failed operation
+    result, err = _smoke("delta-cli")
+    assert result["correct"] and result["failed"] == 0, err
+
+
+def test_hull_stability_smoke_has_no_failed_operation():
+    # each net point is checked for ampleness and minimality, the net
+    # matrices for the base block and the net bound against the diameters
+    result, err = _smoke("hull-stability")
+    assert result["correct"] and result["failed"] == 0, err
