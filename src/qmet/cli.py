@@ -27,7 +27,7 @@ from pathlib import Path
 from . import io as qio
 from .coarse import estimate_delta, fixed_point_gap
 from .demos import demo_names, demo_space
-from .errors import QmetError, ValidationError
+from .errors import QmetError, SizeOverflow, ValidationError
 from .gh import (
     DEFAULT_BUDGET,
     correspondence_from_rough_isometry,
@@ -46,6 +46,8 @@ EXIT_INVALID = 2
 EXIT_BUDGET = 3
 # hull and delta allocate their sample buffers up front, so --samples is capped
 MAX_SAMPLES = 10**6
+# hull --matrix writes an m x m matrix and validates it in O(m^3) time
+MAX_MATRIX_POINTS = 2000
 
 Report = tuple[int, dict, list[str]]  # (exit code, JSON payload, human lines)
 
@@ -101,6 +103,10 @@ def cmd_transform(args) -> Report:
 
 def cmd_hull(args) -> Report:
     X = _load(args.space, args)
+    if args.matrix and X.n + args.samples > MAX_MATRIX_POINTS:
+        raise SizeOverflow(
+            f"--matrix net could have {X.n + args.samples} points (cap {MAX_MATRIX_POINTS})"
+        )
     H = sample_hull(X, args.samples, args.seed)
     payload = {
         "count": len(H.points),

@@ -128,8 +128,9 @@ def _evaluate_boxes(X: QSpace, A: np.ndarray, B: np.ndarray):
         P1, P2, res = retract(d, np.concatenate([a, b, (a + b) / 2.0]))
         P1, P2 = P1[:, None, :], P2[:, None, :]
         best = max(best, float((dsym(P1, P2, d, d.T).min(axis=1) - res).max()))
-        (P1a, P1b, _), (P2a, P2b, _) = np.split(P1, 3), np.split(P2, 3)
-        up = np.maximum(dquasi(P1b, P2b, d, d.T), dquasi(d, d.T, P1a, P2a))
+        r = len(a)  # the rows of r(a), then those of r(b)
+        Pa, Pb = (P1[:r], P2[:r]), (P1[r : 2 * r], P2[r : 2 * r])
+        up = np.maximum(dquasi(*Pb, d, d.T), dquasi(d, d.T, *Pa))
         bounds.append(up.min(axis=1))
     return best, np.concatenate(bounds)
 

@@ -19,6 +19,9 @@ from .space import QSpace
 from .tolerances import CERTIFICATION_TOL, DEDUP_TOL
 
 PERTURB_RADIUS_FACTOR = 0.25
+# floats per (n, m, rows) temporary of the net kernels: small enough to stay
+# in a core's cache, large enough that each block is mostly arithmetic
+NET_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -50,26 +53,32 @@ def sample_hull(X: QSpace, k: int, seed: int = 0) -> HullSample:
     rest perturb the f1 of already accepted members by bounded bumps and
     retract again; the bump radius starts at 0.25 diam and halves whenever a
     candidate collapses onto an existing point.  The point embeddings are
-    always included (first).  Candidates are deduplicated in blocks (a
-    perturbation is a block of one) of at most EVAL_ELEMENTS floats per
-    temporary; ``spread`` is the least gap seen there or between embeddings.
-    Residuals are measured once, at the end, for the kept points only.
+    always included (first).  The kept points form one pool, a (2n, n + k)
+    stack with the point axis first: column j is (f1, f2) of point j.  The
+    fresh half is deduplicated in blocks of at most EVAL_ELEMENTS floats per
+    temporary.  A perturbation is one row: star and flat fill two
+    preallocated buffers, and one subtraction from the pool's live columns
+    gives its dedup gap, the same values ``retract_points`` and ``dsym``
+    compute on a block of one.  ``spread`` is the least gap of a kept point,
+    or between embeddings.  Residuals are measured once, at the end, for the
+    kept points only.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     rng = np.random.default_rng(seed)
     d, n = X.d, X.n
     points = [embed_point(X, i) for i in range(n)]
-    # the pool of accepted points, grown in place; rows [:m] are live
-    B1, B2 = np.empty((n + k, n)), np.empty((n + k, n))
+    # the pool of accepted points, grown in place; columns [:m] are live
+    pool = np.empty((2 * n, n + k))
+    B1, B2 = pool[:n].T, pool[n:].T  # the pool batch-first: rows are points
     B1[:n], B2[:n] = d, d.T  # the embeddings x -> (d(x, .), d(., x))
     gaps = dsym(d[:, None, :], d.T[:, None, :], d, d.T)
     np.fill_diagonal(gaps, np.inf)
     spread, m = gaps.min(), n
     rows = max(1, EVAL_ELEMENTS // (n * (n + k)))  # (rows, n + k, n) fits the cap
 
-    def add(P1, P2) -> int:
-        """Keep each row further than DEDUP_TOL from all kept before it; count them."""
+    def add(P1, P2):
+        """Keep each row further than DEDUP_TOL from all kept before it."""
         nonlocal spread, m
         B1[m : m + len(P1)], B2[m : m + len(P1)] = P1, P2
         G = dsym(P1[:, None, :], P2[:, None, :], B1[: m + len(P1)], B2[: m + len(P1)])
@@ -83,7 +92,6 @@ def sample_hull(X: QSpace, k: int, seed: int = 0) -> HullSample:
                 spread = min(spread, gap)
         B1[m : m + len(kept)], B2[m : m + len(kept)] = P1[kept], P2[kept]
         m += len(kept)
-        return len(kept)
 
     R = X.diam
     if k > 0 and R > 0.0:
@@ -92,12 +100,26 @@ def sample_hull(X: QSpace, k: int, seed: int = 0) -> HullSample:
         for lo in range(0, n_fresh, rows):
             add(*retract_points(d, C1[lo : lo + rows]))
 
+        # one row at a time; q = (p1, p2) is the candidate's column
         radius = PERTURB_RADIUS_FACTOR * R
         floor = R * 2.0 ** -30
+        T, q = np.empty((n, n)), np.empty(2 * n)
+        p1, p2 = q[:n], q[n:]
         for _ in range(k - n_fresh):
             base = int(rng.integers(0, m))
-            g1 = np.maximum(B1[base] + rng.uniform(-radius, radius, size=n), 0.0)
-            if not add(*retract_points(d, g1[None, :])) and radius > floor:
+            g1 = np.maximum(pool[:n, base] + rng.uniform(-radius, radius, size=n), 0.0)
+            # star: p2(x) = max_y (d(x, y) - g1(y))+
+            np.maximum(np.subtract(d.T, g1[:, None], out=T).max(axis=0, out=p2), 0.0, out=p2)
+            # flat, clamped by g1: p1(y) = min(max_x (d(x, y) - p2(x))+, g1(y))
+            np.maximum(np.subtract(d, p2[:, None], out=T).max(axis=0, out=p1), 0.0, out=p1)
+            np.minimum(p1, g1, out=p1)
+            D = pool[:, :m] - q[:, None]
+            gap = np.abs(D, out=D).max(axis=0).min()
+            if gap > DEDUP_TOL:
+                spread = min(spread, gap)
+                pool[:, m] = q
+                m += 1
+            elif radius > floor:
                 radius /= 2.0
 
     for lo in range(n, m, rows):
@@ -109,11 +131,21 @@ def sample_hull(X: QSpace, k: int, seed: int = 0) -> HullSample:
     return HullSample(X, tuple(points), seed, float(spread))
 
 
+def _row_blocks(rows: int, n: int, m: int):
+    """Slices cutting ``rows`` source rows into blocks whose (n, m, block)
+    pair-stack temporary holds at most NET_BLOCK_ELEMENTS floats."""
+    step = max(1, NET_BLOCK_ELEMENTS // (n * m))
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+
+
 def _net_matrix(H: HullSample) -> np.ndarray:
-    """Hull quasi-metric among the net points, base matrix in the first block."""
+    """Hull quasi-metric among the net points, base matrix in the first block;
+    evaluated in row blocks (see ``_row_blocks``)."""
     F1, F2 = H.arrays
-    D = dquasi(F1[:, None, :], F2[:, None, :], F1, F2)
-    n = H.space.n
+    n, m = H.space.n, len(F1)
+    D = np.empty((m, m))
+    for s in _row_blocks(m, n, m):
+        D[s] = dquasi(F1[s, None, :], F2[s, None, :], F1, F2)
     D[:n, :n] = H.space.d
     return D
 
@@ -172,7 +204,11 @@ def net_gh_upper(HX: HullSample, HY: HullSample) -> float:
     proof-grade value.  Two related pairs (i, phi i) or (psi j, j) fall in
     one of four blocks, MX against MY[phi][:, phi], MX[psi][:, psi] against
     MY, MX[:, psi] against MY[phi, :] and MX[psi, :] against MY[:, phi],
-    whose largest gap is the distortion of the whole relation.
+    whose largest gap is the distortion of the whole relation; the blocks
+    share the row gathers MY[phi] and MX[psi].  The snapping and the net
+    matrices run in row blocks of at most NET_BLOCK_ELEMENTS floats per
+    (n, m, rows) temporary, so each entry is the same max of the same
+    differences as in one (n, m, m) stack.
     """
     if HX.space.n != HY.space.n:
         raise ValueError("net GH bound requires spaces on the same index set")
@@ -180,15 +216,20 @@ def net_gh_upper(HX: HullSample, HY: HullSample) -> float:
 
     def snapped(source: HullSample, target: HullSample) -> np.ndarray:
         P1, P2 = retract_points(target.space.d, source.arrays[0] + pad)
-        return dsym(P1[:, None, :], P2[:, None, :], *target.arrays).argmin(axis=1)
+        T1, T2 = target.arrays
+        return np.concatenate([
+            dsym(P1[s, None, :], P2[s, None, :], T1, T2).argmin(axis=1)
+            for s in _row_blocks(len(P1), HX.space.n, len(T1))
+        ])
 
     phi, psi = snapped(HX, HY), snapped(HY, HX)
     MX, MY = _net_matrix(HX), _net_matrix(HY)
     # the cover check and witness; net matrices are valid, so compared as networks
     Correspondence(MX, MY, {*enumerate(phi.tolist()), *zip(psi.tolist(), range(len(psi)))})
+    MYphi, MXpsi = MY.take(phi, 0), MX.take(psi, 0)  # the shared row gathers
     return float(max(
-        np.abs(MX - MY[phi][:, phi]).max(),
-        np.abs(MX[psi][:, psi] - MY).max(),
-        np.abs(MX[:, psi] - MY[phi, :]).max(),
-        np.abs(MX[psi, :] - MY[:, phi]).max(),
+        np.abs(MX - MYphi.take(phi, 1)).max(),
+        np.abs(MXpsi.take(psi, 1) - MY).max(),
+        np.abs(MX.take(psi, 1) - MYphi).max(),
+        np.abs(MXpsi - MY.take(phi, 1)).max(),
     )) / 2.0

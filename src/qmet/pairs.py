@@ -149,8 +149,10 @@ def retract(d: np.ndarray, G: np.ndarray):
     P1 is clamped by G, so the result sits entrywise below (g, star(g));
     ``residuals`` is each row's measured double-conjugation residual.
     """
-    P1, P2 = retract_points(d, G)
-    return P1, P2, residual(d, P1, P2)
+    P2 = star(d, G)
+    S1 = flat(d, P2)  # also the residual's flat(d, P2)
+    P1 = np.minimum(S1, G)
+    return P1, P2, dsym(P1, P2, S1, star(d, P1))
 
 
 def double_conjugate(f: AmplePair) -> AmplePair:

@@ -6,7 +6,16 @@ import numpy as np
 from qmet import QSpace, ample_completion, random_qspace, triangle_closure
 from qmet.gh import DEFAULT_BUDGET, Correspondence, GHResult, distortion
 from qmet.hull import PERTURB_RADIUS_FACTOR, HullSample
-from qmet.pairs import AmplePair, dsym, embed_point, retract
+from qmet.pairs import (
+    EVAL_ELEMENTS,
+    AmplePair,
+    dquasi,
+    dsym,
+    embed_point,
+    residual,
+    retract,
+    retract_points,
+)
 from qmet.tolerances import AMPLE_TOL, DEDUP_TOL
 
 
@@ -330,6 +339,24 @@ def reference_net_gh_upper(HX, HY):
         reference_net_matrix(HX), reference_net_matrix(HY), tuple(sorted(set(pairs)))
     )
     return distortion(R) / 2.0
+
+
+def reference_evaluate_boxes(X, A, B):
+    """``coarse._evaluate_boxes`` as it read when ``retract`` measured its
+    residual with a second flat(P2) and the corner rows came from np.split,
+    kept as its reference: the delta brackets must not move."""
+    d, m = X.d, max(1, EVAL_ELEMENTS // (3 * X.n * X.n))
+    best, bounds = 0.0, []
+    for i in range(0, len(A), m):
+        a, b = A[i : i + m], B[i : i + m]
+        P1, P2 = retract_points(d, np.concatenate([a, b, (a + b) / 2.0]))
+        res = residual(d, P1, P2)
+        P1, P2 = P1[:, None, :], P2[:, None, :]
+        best = max(best, float((dsym(P1, P2, d, d.T).min(axis=1) - res).max()))
+        (P1a, P1b, _), (P2a, P2b, _) = np.split(P1, 3), np.split(P2, 3)
+        up = np.maximum(dquasi(P1b, P2b, d, d.T), dquasi(d, d.T, P1a, P2a))
+        bounds.append(up.min(axis=1))
+    return best, np.concatenate(bounds)
 
 
 def reference_candidates(X, Y, tol):

@@ -29,6 +29,7 @@ from qmet.errors import IndexOutOfRange, InfeasibleFamily, NotMinimal, NotNonexp
 from qmet.pairs import AmplePair
 from helpers import (
     qspaces,
+    reference_evaluate_boxes,
     reference_family_violation,
     reference_find_center,
     rng_spaces,
@@ -255,6 +256,14 @@ class TestDeltaBracket:
         assert estimate_delta(X, samples=300) == whole
         monkeypatch.setattr(coarse, "EVAL_ELEMENTS", 1)  # one box
         assert estimate_delta(X, samples=300) == whole
+
+    def test_brackets_match_the_reference_evaluation(self, monkeypatch):
+        # slices in place of np.split, and retract's shared flat(P2)
+        rng = np.random.default_rng(1812)
+        spaces = [random_qspace(n, rng) for n in range(2, 13) for _ in range(3)]
+        got = [estimate_delta(X, samples=300) for X in spaces]
+        monkeypatch.setattr(coarse, "_evaluate_boxes", reference_evaluate_boxes)
+        assert got == [estimate_delta(X, samples=300) for X in spaces]
 
     def test_unclosed_space(self):
         # accepted at tol=1 with a triangle excess of 1: retract(0) is the

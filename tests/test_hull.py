@@ -20,7 +20,7 @@ from qmet import (
     sample_hull,
 )
 from qmet.errors import NotMetric, QmetError
-from qmet.hull import HullSample
+from qmet.hull import HullSample, _row_blocks
 from qmet.pairs import AmplePair, embed_point
 from helpers import (
     perturbed_space,
@@ -221,6 +221,23 @@ class TestAgainstReference:
             assert type(got.value) is type(err)
         else:
             assert_same_net(sample_hull(X, k, seed), ref)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_c07_shaped_pairs_are_identical(self, seed):
+        # n = 4 and k = 400 as in c07: about 200 one-row perturbation steps
+        # with radius halving, and nets of several net-kernel row blocks
+        rng = np.random.default_rng(7007 + seed)
+        X = random_qspace(4, rng)
+        Y = perturbed_space(X, rng, 0.08 * X.diam)
+        HX, HY = sample_hull(X, 400, seed), sample_hull(Y, 400, seed + 1000)
+        RX, RY = reference_sample_hull(X, 400, seed), reference_sample_hull(Y, 400, seed + 1000)
+        assert_same_net(HX, RX)
+        assert_same_net(HY, RY)
+        assert net_gh_upper(HX, HY) == reference_net_gh_upper(RX, RY)
+        for H in (HX, HY):
+            m = len(H.points)
+            blocks = _row_blocks(m, 4, m)
+            assert len(blocks) > 2 and blocks[-1].stop > m  # a short last block
 
     def test_pinned_bound_matches(self):
         rng = np.random.default_rng(4)

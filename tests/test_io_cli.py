@@ -22,7 +22,8 @@ from qmet import (
     space_to_csv,
     space_to_json,
 )
-from qmet.cli import MAX_SAMPLES, build_parser, dispatch
+from qmet import cli
+from qmet.cli import MAX_MATRIX_POINTS, MAX_SAMPLES, build_parser, dispatch
 from qmet.errors import ParseError, QmetError, ValidationError
 from qmet.io import load_map
 from qmet.tolerances import ledger
@@ -243,6 +244,21 @@ class TestCLI:
         assert code == 0
         assert payload["count"] == len(payload["sample"]["points"])
         assert len(payload["matrix"]) == payload["count"]
+
+    def test_oversize_matrix_is_refused_up_front(self, capsys, demo_files):
+        # a net of up to 40,005 points would need a 40,005^2 matrix and an
+        # O(m^3) validation; the cap is checked before any sampling
+        code, out, err = self.run(capsys, "hull", demo_files["runit5"], "--samples", "40000",
+                                  "--matrix")
+        assert (code, out) == (2, "")
+        assert err == f"error: --matrix net could have 40005 points (cap {MAX_MATRIX_POINTS})\n"
+
+    def test_matrix_cap_is_inclusive(self, capsys, demo_files, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_MATRIX_POINTS", 25)
+        argv = ["hull", demo_files["runit5"], "--matrix", "--samples"]
+        assert self.run(capsys, *argv, "20")[0] == 0
+        code, _, err = self.run(capsys, *argv, "21")
+        assert code == 2 and "(cap 25)" in err
 
     def test_second_call_sees_the_defaults(self, capsys, demo_files, tmp_path):
         # the parser is built once per process; each call must still parse

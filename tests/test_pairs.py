@@ -34,6 +34,7 @@ from qmet.pairs import (
     project_arrays,
     residual,
     retract,
+    retract_points,
     star,
 )
 from qmet.space import random_qspace
@@ -346,6 +347,24 @@ class TestRetraction:
             f = AmplePair(X, X.d[x, :], X.d[:, x])
             s = double_conjugate(f)
             assert embed_point(X, x).certified_tol == float(dsym(f.f1, f.f2, s.f1, s.f2))
+
+    @given(
+        qspaces(min_n=1, halves=True) | qspaces(min_n=1),
+        st.integers(1, 40),
+        st.integers(0, 1000),
+        st.booleans(),
+    )
+    def test_retract_is_retract_points_and_residual(self, X, rows, seed, ties):
+        # retract computes flat(P2) once for P1 and the residual; its values
+        # are those of the two separate steps, bit for bit
+        rng = np.random.default_rng(seed)
+        G = rng.uniform(0.0, 2.0 * X.diam + 0.1, (rows, X.n))
+        if ties:
+            G = np.round(2.0 * G) / 2.0
+        P1, P2, res = retract(X.d, G)
+        Q1, Q2 = retract_points(X.d, G)
+        assert np.array_equal(P1, Q1) and np.array_equal(P2, Q2)
+        assert np.array_equal(res, residual(X.d, Q1, Q2))
 
 
 class TestKernelLayout:

@@ -123,3 +123,11 @@ def test_hull_stability_smoke_has_no_failed_operation():
     # matrices for the base block and the net bound against the diameters
     result, err = _smoke("hull-stability")
     assert result["correct"] and result["failed"] == 0, err
+
+
+def test_gh_search_smoke_has_no_failed_operation():
+    # each search must be exact and its value half its correspondence's
+    # distortion: brute force on small pairs, 0 on permuted copies and at
+    # most half the entrywise gap on perturbations
+    result, err = _smoke("gh-search")
+    assert result["correct"] and result["failed"] == 0, err
