@@ -49,16 +49,6 @@ class NotAmple(QmetError):
         self.violation = violation
 
 
-class NoConvergence(QmetError):
-    def __init__(self, iterations, residual):
-        super().__init__(
-            f"projection not converged after {iterations} iterations "
-            f"(residual {residual:.3e})"
-        )
-        self.iterations = iterations
-        self.residual = residual
-
-
 class SpaceMismatch(QmetError):
     pass
 

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NotMetric
+from .errors import NotMetric, SizeOverflow
 from .gh import Correspondence
 from .pairs import EVAL_ELEMENTS, AmplePair, dquasi, dsym, embed_point, residual, retract_points
 from .space import QSpace
@@ -61,10 +61,12 @@ def sample_hull(X: QSpace, k: int, seed: int = 0) -> HullSample:
     gives its dedup gap, the same values ``retract_points`` and ``dsym``
     compute on a block of one.  ``spread`` is the least gap of a kept point,
     or between embeddings.  Residuals are measured once, at the end, for the
-    kept points only.
+    kept points only.  SizeOverflow when k > 0 and 2 diam overflows a float.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
+    if k > 0 and not np.isfinite(2.0 * X.diam):
+        raise SizeOverflow(f"cannot draw hull candidates in [0, 2 diam]: diam = {X.diam:.6g}")
     rng = np.random.default_rng(seed)
     d, n = X.d, X.n
     points = [embed_point(X, i) for i in range(n)]

@@ -1,4 +1,4 @@
-"""Ample pairs of functions and the minimizing projection onto the hull.
+"""Ample pairs of functions and their retraction onto the hull.
 
 A pair f = (f1, f2) of non-negative functions on a space X is *ample* when
 d(x, y) <= f2(x) + f1(y) for all x, y.  The minimal ample pairs form the
@@ -10,9 +10,9 @@ conjugation
 The conjugations ``star`` (least f2 for f1) and ``flat`` (least f1 for f2)
 form an antitone Galois connection, so ``retract`` sends any g >= 0 exactly
 onto the hull point (flat(star(g)), star(g)).  On an ample pair f, retract(f1)
-lies below f, fixes the hull and is non-expansive; internal callers use it or
-``retract_points`` (no residual), and only the public ``project_to_hull``
-averages f with its double conjugate.  The hull carries the quasi-metric
+lies below f, fixes the hull and is non-expansive: it is the one projection,
+which ``project_to_hull`` wraps with an ampleness check.  The hull carries
+the quasi-metric
 
     D(f, g) = max( max_x (f1 - g1)+ , max_x (g2 - f2)+ ),
 
@@ -32,16 +32,14 @@ import numpy as np
 from .errors import (
     IndexOutOfRange,
     LengthMismatch,
-    NoConvergence,
     NotAmple,
     NotMinimal,
     SpaceMismatch,
     SubsetMismatch,
 )
 from .space import QSpace, subset_indices
-from .tolerances import AMPLE_TOL, CERTIFICATION_TOL, PROJECTION_TOL
+from .tolerances import AMPLE_TOL, CERTIFICATION_TOL
 
-PROJECTION_MAX_ITER = 200
 EVAL_ELEMENTS = 1 << 22  # floats per broadcast temporary where callers chunk
 
 
@@ -145,7 +143,7 @@ def retract_points(d: np.ndarray, G: np.ndarray):
 def retract(d: np.ndarray, G: np.ndarray):
     """Hull points (flat(star(g)), star(g)) for g >= 0; returns (P1, P2, residuals).
 
-    The exact projection of the completion (g, star(g)), with no iteration.
+    The exact projection of the completion (g, star(g)).
     P1 is clamped by G, so the result sits entrywise below (g, star(g));
     ``residuals`` is each row's measured double-conjugation residual.
     """
@@ -165,56 +163,24 @@ def double_conjugate(f: AmplePair) -> AmplePair:
     return AmplePair(f.space, flat(f.space.d, f.f2), star(f.space.d, f.f1))
 
 
-def project_arrays(
-    space: QSpace,
-    F1: np.ndarray,
-    F2: np.ndarray,
-    tol: float = PROJECTION_TOL,
-    max_iter: int = PROJECTION_MAX_ITER,
-):
-    """Batched hull projection of generic ample pairs; returns (P1, P2, residuals).
+def project_arrays(space: QSpace, F1: np.ndarray, F2: np.ndarray):
+    """Batched hull projection of ample pairs; returns (P1, P2, residuals).
 
-    Iterates f <- (f + f*)/2 until the worst residual ||f - f*|| drops below
-    tol.  The residual halves each round, so max_iter is a formality; if it is
-    ever exhausted above 10*tol, or the residual grows, NoConvergence is
-    raised.  Results are clamped by the inputs so "projection never increases
-    a value" holds exactly.  For completions (F2 = star(F1)) ``retract``
-    reaches the same points without iterating.
+    The projection of f is ``retract(f1)``.  On ample input star(F1) <= F2,
+    so the result sits entrywise below (F1, F2); F2 is not otherwise read.
     """
-    d = space.d
-    G1 = np.array(F1, dtype=float)
-    G2 = np.array(F2, dtype=float)
-    prev_gap = np.inf
-    for iterations in range(1, max_iter + 1):
-        S1, S2 = flat(d, G2), star(d, G1)
-        gap = dsym(G1, G2, S1, S2).max()
-        if not gap <= prev_gap + 1e-12:
-            raise NoConvergence(iterations, float(gap))
-        prev_gap = gap
-        if gap <= tol:
-            break
-        G1 = (G1 + S1) / 2.0
-        G2 = (G2 + S2) / 2.0
-    else:
-        if prev_gap > 10.0 * tol:
-            raise NoConvergence(max_iter, float(prev_gap))
-    np.minimum(G1, F1, out=G1)
-    np.minimum(G2, F2, out=G2)
-    return G1, G2, residual(d, G1, G2)
+    return retract(space.d, np.asarray(F1, dtype=float))
 
 
-def project_to_hull(
-    f: AmplePair,
-    tol: float = PROJECTION_TOL,
-    max_iter: int = PROJECTION_MAX_ITER,
-) -> AmplePair:
-    """Project an ample pair onto the hull (the nearest-below minimal pair).
+def project_to_hull(f: AmplePair) -> AmplePair:
+    """Project an ample pair onto the hull: retract(f1), certified minimal.
 
-    The result is <= f entrywise, ample, certified minimal, and the map is
-    non-expansive for the hull quasi-metric.
+    Of the hull points below f it has the largest f1 and the least f2 (f2 is
+    below f's within the ampleness slack), and the map is non-expansive for
+    the hull quasi-metric.
     """
     _require_ample(f)
-    g1, g2, res = project_arrays(f.space, f.f1, f.f2, tol=tol, max_iter=max_iter)
+    g1, g2, res = project_arrays(f.space, f.f1, f.f2)
     return AmplePair(f.space, g1, g2, certified_minimal=True, certified_tol=float(res))
 
 

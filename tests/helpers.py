@@ -12,9 +12,11 @@ from qmet.pairs import (
     dquasi,
     dsym,
     embed_point,
+    flat,
     residual,
     retract,
     retract_points,
+    star,
 )
 from qmet.tolerances import AMPLE_TOL, DEDUP_TOL
 
@@ -257,6 +259,20 @@ def reference_dsym(F1, F2, G1, G2):
     up = np.abs(up, out=up).max(axis=-1)
     down = F2 - G2
     return np.maximum(up, np.abs(down, out=down).max(axis=-1))
+
+
+def reference_average_projection(d, F1, F2):
+    """The averaging that ``project_arrays`` ran before it became the exact
+    retraction, kept as an independent oracle for ``retract``: f <- (f + f*)/2
+    until the residual ||f - f*|| is at most 1e-12 (the residual halves each
+    round), then clamped by the input."""
+    G1, G2 = np.array(F1, dtype=float), np.array(F2, dtype=float)
+    for _ in range(200):
+        S1, S2 = flat(d, G2), star(d, G1)
+        if dsym(G1, G2, S1, S2).max() <= 1e-12:
+            break
+        G1, G2 = (G1 + S1) / 2.0, (G2 + S2) / 2.0
+    return np.minimum(G1, F1), np.minimum(G2, F2)
 
 
 def reference_net_matrix(H):

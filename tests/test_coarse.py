@@ -17,9 +17,9 @@ from qmet import (
     family_violation,
     find_center,
     fixed_point_gap,
+    in_hull,
     min_delta,
     pair_dist,
-    project_to_hull,
     random_nonexpansive,
     random_qspace,
     sample_hull,
@@ -159,7 +159,8 @@ class TestFamilyFromHullPoint:
             assert min_delta(L3, F) == 0.0
 
     def test_halfway_point_on_sierpinski(self):
-        f = project_to_hull(AmplePair(S, [2, 2], [2, 2]))
+        f = AmplePair(S, [0.5, 0], [0, 0.5])
+        assert in_hull(f, 0.0)
         assert f.f1[0] == pytest.approx(0.5, abs=1e-9)
         F = family_from_hull_point(S, f)
         assert min_delta(S, F) == pytest.approx(0.5, abs=1e-7)

@@ -484,6 +484,14 @@ class TestCLI:
         assert code == 2 and out == ""
         assert err.startswith("error: ")
 
+    def test_hull_past_float_range_exits_2(self, capsys, tmp_path):
+        # a valid space whose candidates, drawn in [0, 2 diam], overflow
+        p = tmp_path / "huge.json"
+        p.write_text('{"d": [[0, 1e308], [1e308, 0]]}')
+        code, out, err = self.run(capsys, "hull", str(p))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     def test_unknown_demo_message(self, capsys):
         code, out, err = self.run(capsys, "demo", "frob")
         assert code == 2 and out == ""

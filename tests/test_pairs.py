@@ -41,6 +41,7 @@ from qmet.space import random_qspace
 from helpers import (
     qspaces,
     random_ample_pair,
+    reference_average_projection,
     reference_dsym,
     reference_flat,
     reference_net_matrix,
@@ -119,36 +120,31 @@ class TestProjection:
         with pytest.raises(NotAmple):
             project_to_hull(AmplePair(S, [0, 0], [0, 0]))
 
-    def test_no_convergence_surfaces_residual(self):
-        from qmet.errors import NoConvergence
-
-        with pytest.raises(NoConvergence) as err:
-            project_to_hull(AmplePair(S, [2, 2], [2, 2]), tol=1e-12, max_iter=1)
-        assert err.value.residual > 1e-11
-
     @given(qspaces(), st.integers(0, 2 ** 31 - 1))
     def test_contract(self, X, seed):
         rng = np.random.default_rng(seed)
         f = random_ample_pair(X, rng)
         g = random_ample_pair(X, rng)
         pf, pg = project_to_hull(f), project_to_hull(g)
+        tol = 4 * np.finfo(float).eps * max(X.diam, 1.0)
         # never above the input
         assert (pf.f1 <= f.f1).all() and (pf.f2 <= f.f2).all()
         # idempotent
         ppf = project_to_hull(pf)
-        assert pair_dist(ppf, pf, "Dsym") <= 1e-7
+        assert pair_dist(ppf, pf, "Dsym") <= tol
         # non-expansive in both modes
-        assert pair_dist(pf, pg) <= pair_dist(f, g) + 1e-9
-        assert pair_dist(pf, pg, "Dsym") <= pair_dist(f, g, "Dsym") + 1e-9
-        assert in_hull(pf, 1e-7)
+        assert pair_dist(pf, pg) <= pair_dist(f, g) + tol
+        assert pair_dist(pf, pg, "Dsym") <= pair_dist(f, g, "Dsym") + tol
+        assert in_hull(pf, tol)
 
     @given(qspaces(max_n=4), st.integers(0, 2 ** 31 - 1))
     def test_one_lipschitz_on_hull(self, X, seed):
         p = project_to_hull(random_ample_pair(X, np.random.default_rng(seed)))
+        tol = 4 * np.finfo(float).eps * max(X.diam, 1.0)
         for x in range(X.n):
             for y in range(X.n):
-                assert p.f1[x] - p.f1[y] <= X.d[y, x] + 1e-9
-                assert p.f2[x] - p.f2[y] <= X.d[x, y] + 1e-9
+                assert p.f1[x] - p.f1[y] <= X.d[y, x] + tol
+                assert p.f2[x] - p.f2[y] <= X.d[x, y] + tol
 
 
 class TestInHull:
@@ -320,7 +316,7 @@ class TestRetraction:
         scale = max(X.diam, 1.0)
         S = star(X.d, G)
         P1, P2, res = retract(X.d, G)
-        A1, A2, _ = project_arrays(X, G, S)
+        A1, A2 = reference_average_projection(X.d, G, S)
         assert np.abs(P1 - A1).max() <= 1e-11 * scale
         assert np.abs(P2 - A2).max() <= 1e-11 * scale
         # never above the completion (g, star g) it retracts

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from qmet.tolerances import ledger
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qmet"
 
@@ -80,10 +82,10 @@ def _owned_calls(path):
             todo.append((owner, child))
 
 
-def test_averaging_only_in_project_to_hull():
-    # every internal caller lands on the hull through the exact two-step
-    # retract; the averaging loop stops on a tolerance and is kept only for
-    # the public projection of generic ample pairs
+def test_every_projection_is_a_retraction():
+    # every caller lands on the hull through the exact two-step retract;
+    # project_arrays is retract(f1), reached only from the public
+    # project_to_hull, which checks ampleness first
     found = sorted(
         owner
         for path in sorted(SRC.glob("*.py"))
@@ -91,6 +93,22 @@ def test_averaging_only_in_project_to_hull():
         if name in ("project_arrays", "project_to_hull")
     )
     assert found == ["pairs.project_to_hull"]
+
+
+def test_schemas_list_the_ledger():
+    # every --json envelope carries ledger() under "tolerances"; each schema
+    # copies its keys by hand, so a key added to the ledger must reach them all
+    keys = sorted(ledger())
+    blocks = {
+        path.name: schema["properties"]["tolerances"]
+        for path in sorted((SRC / "schemas").glob("*.json"))
+        for schema in [json.loads(path.read_text())]
+        if "tolerances" in schema["properties"]
+    }
+    assert len(blocks) == 8
+    for name, block in blocks.items():
+        assert sorted(block["required"]) == keys, name
+        assert sorted(block["properties"]) == keys, name
 
 
 def test_only_dispatch_prints_in_cli():
