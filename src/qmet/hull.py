@@ -13,8 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotMetric, SizeOverflow
-from .gh import Correspondence
-from .pairs import EVAL_ELEMENTS, AmplePair, dquasi, dsym, embed_point, residual, retract_points
+from .pairs import AmplePair, dquasi, dsym, embed_point, residual, retract_points
 from .space import QSpace
 from .tolerances import CERTIFICATION_TOL, DEDUP_TOL
 
@@ -49,18 +48,18 @@ def sample_hull(X: QSpace, k: int, seed: int = 0) -> HullSample:
     """Draw k hull candidates and keep the distinct certified ones.
 
     Half the candidates are fresh: g uniform in [0, 2 diam]^n, sent to the
-    hull by the exact two-step retraction g -> (flat(star(g)), star(g)).  The
-    rest perturb the f1 of already accepted members by bounded bumps and
-    retract again; the bump radius starts at 0.25 diam and halves whenever a
-    candidate collapses onto an existing point.  The point embeddings are
-    always included (first).  The kept points form one pool, a (2n, n + k)
-    stack with the point axis first: column j is (f1, f2) of point j.  The
-    fresh half is deduplicated in blocks of at most EVAL_ELEMENTS floats per
-    temporary.  A perturbation is one row: star and flat fill two
-    preallocated buffers, and one subtraction from the pool's live columns
-    gives its dedup gap, the same values ``retract_points`` and ``dsym``
-    compute on a block of one.  ``spread`` is the least gap of a kept point,
-    or between embeddings.  Residuals are measured once, at the end, for the
+    hull by the exact two-step retraction g -> (flat(star(g)), star(g)), all
+    at once in row blocks (see ``_row_blocks``).  The rest perturb the f1 of
+    already accepted members by bounded bumps and retract again, one row at a
+    time: star and flat fill two preallocated buffers.  The bump radius starts
+    at 0.25 diam and halves whenever a perturbation collapses onto an existing
+    point.  The point embeddings are always included (first).  The kept
+    points form one pool, a (2n, n + k) stack with the point axis first:
+    column j is (f1, f2) of point j.  One dedup rule serves every candidate,
+    fresh or perturbed, in draw order: its gap is its least sym-distance to
+    the pool's live columns, one subtraction, and it is kept when the gap
+    exceeds DEDUP_TOL.  ``spread`` is the least gap of a kept point, or
+    between embeddings.  Residuals are measured once, at the end, for the
     kept points only.  SizeOverflow when k > 0 and 2 diam overflows a float.
     """
     if k < 0:
@@ -72,63 +71,49 @@ def sample_hull(X: QSpace, k: int, seed: int = 0) -> HullSample:
     points = [embed_point(X, i) for i in range(n)]
     # the pool of accepted points, grown in place; columns [:m] are live
     pool = np.empty((2 * n, n + k))
-    B1, B2 = pool[:n].T, pool[n:].T  # the pool batch-first: rows are points
-    B1[:n], B2[:n] = d, d.T  # the embeddings x -> (d(x, .), d(., x))
+    pool[:n, :n], pool[n:, :n] = d.T, d  # the embeddings x -> (d(x, .), d(., x))
     gaps = dsym(d[:, None, :], d.T[:, None, :], d, d.T)
     np.fill_diagonal(gaps, np.inf)
     spread, m = gaps.min(), n
-    rows = max(1, EVAL_ELEMENTS // (n * (n + k)))  # (rows, n + k, n) fits the cap
-
-    def add(P1, P2):
-        """Keep each row further than DEDUP_TOL from all kept before it."""
-        nonlocal spread, m
-        B1[m : m + len(P1)], B2[m : m + len(P1)] = P1, P2
-        G = dsym(P1[:, None, :], P2[:, None, :], B1[: m + len(P1)], B2[: m + len(P1)])
-        kept = []
-        for i in range(len(P1)):
-            gap = G[i, : m + i].min()
-            if gap <= DEDUP_TOL:
-                G[:, m + i] = np.inf  # a dropped row is no neighbour
-            else:
-                kept.append(i)
-                spread = min(spread, gap)
-        B1[m : m + len(kept)], B2[m : m + len(kept)] = P1[kept], P2[kept]
-        m += len(kept)
 
     R = X.diam
     if k > 0 and R > 0.0:
         n_fresh = (k + 1) // 2
         C1 = rng.uniform(0.0, 2.0 * R, size=(n_fresh, n))
-        for lo in range(0, n_fresh, rows):
-            add(*retract_points(d, C1[lo : lo + rows]))
+        fresh = np.empty((n_fresh, 2 * n))  # row i is fresh candidate i, (p1, p2)
+        for s in _row_blocks(n_fresh, n, n):
+            fresh[s, :n], fresh[s, n:] = retract_points(d, C1[s])
 
-        # one row at a time; q = (p1, p2) is the candidate's column
         radius = PERTURB_RADIUS_FACTOR * R
         floor = R * 2.0 ** -30
         T, q = np.empty((n, n)), np.empty(2 * n)
         p1, p2 = q[:n], q[n:]
-        for _ in range(k - n_fresh):
-            base = int(rng.integers(0, m))
-            g1 = np.maximum(pool[:n, base] + rng.uniform(-radius, radius, size=n), 0.0)
-            # star: p2(x) = max_y (d(x, y) - g1(y))+
-            np.maximum(np.subtract(d.T, g1[:, None], out=T).max(axis=0, out=p2), 0.0, out=p2)
-            # flat, clamped by g1: p1(y) = min(max_x (d(x, y) - p2(x))+, g1(y))
-            np.maximum(np.subtract(d, p2[:, None], out=T).max(axis=0, out=p1), 0.0, out=p1)
-            np.minimum(p1, g1, out=p1)
-            D = pool[:, :m] - q[:, None]
+        for i in range(k):
+            if i < n_fresh:
+                c = fresh[i]
+            else:
+                base = int(rng.integers(0, m))
+                g1 = np.maximum(pool[:n, base] + rng.uniform(-radius, radius, size=n), 0.0)
+                # star: p2(x) = max_y (d(x, y) - g1(y))+
+                np.maximum(np.subtract(d.T, g1[:, None], out=T).max(axis=0, out=p2), 0.0, out=p2)
+                # flat, clamped by g1: p1(y) = min(max_x (d(x, y) - p2(x))+, g1(y))
+                np.maximum(np.subtract(d, p2[:, None], out=T).max(axis=0, out=p1), 0.0, out=p1)
+                np.minimum(p1, g1, out=p1)
+                c = q
+            D = pool[:, :m] - c[:, None]
             gap = np.abs(D, out=D).max(axis=0).min()
             if gap > DEDUP_TOL:
                 spread = min(spread, gap)
-                pool[:, m] = q
+                pool[:, m] = c
                 m += 1
-            elif radius > floor:
+            elif i >= n_fresh and radius > floor:
                 radius /= 2.0
 
-    for lo in range(n, m, rows):
-        F1, F2 = B1[lo : min(lo + rows, m)], B2[lo : min(lo + rows, m)]
+    F1, F2 = pool[:n, n:m].T, pool[n:, n:m].T
+    for s in _row_blocks(m - n, n, n):
         points += [
             AmplePair(X, f1, f2, certified_minimal=True, certified_tol=float(r))
-            for f1, f2, r in zip(F1, F2, residual(d, F1, F2))
+            for f1, f2, r in zip(F1[s], F2[s], residual(d, F1[s], F2[s]))
         ]
     return HullSample(X, tuple(points), seed, float(spread))
 
@@ -203,7 +188,9 @@ def net_gh_upper(HX: HullSample, HY: HullSample) -> float:
     the other space's hull and snapped to the nearest net point there; the two
     snapped maps phi and psi assemble a correspondence whose half-distortion
     bounds the net GH distance from above.  A net approximation, not a
-    proof-grade value.  Two related pairs (i, phi i) or (psi j, j) fall in
+    proof-grade value.  No cover or range check is needed: phi and psi are
+    total argmin index arrays into the other net, so the relation covers both
+    nets by construction.  Two related pairs (i, phi i) or (psi j, j) fall in
     one of four blocks, MX against MY[phi][:, phi], MX[psi][:, psi] against
     MY, MX[:, psi] against MY[phi, :] and MX[psi, :] against MY[:, phi],
     whose largest gap is the distortion of the whole relation; the blocks
@@ -226,8 +213,6 @@ def net_gh_upper(HX: HullSample, HY: HullSample) -> float:
 
     phi, psi = snapped(HX, HY), snapped(HY, HX)
     MX, MY = _net_matrix(HX), _net_matrix(HY)
-    # the cover check and witness; net matrices are valid, so compared as networks
-    Correspondence(MX, MY, {*enumerate(phi.tolist()), *zip(psi.tolist(), range(len(psi)))})
     MYphi, MXpsi = MY.take(phi, 0), MX.take(psi, 0)  # the shared row gathers
     return float(max(
         np.abs(MX - MYphi.take(phi, 1)).max(),

@@ -80,7 +80,8 @@ def is_ample(f: AmplePair, tol: float = AMPLE_TOL):
     Returns (flag, worst) where worst is None or the most violated
     (x, y, excess) triple.
     """
-    gap = f.space.d - f.f2[:, None] - f.f1[None, :]
+    with np.errstate(over="ignore"):  # d against the rounded sum, as in validate
+        gap = f.space.d - (f.f2[:, None] + f.f1[None, :])
     worst = gap.max()
     if worst > tol:
         i, j = np.unravel_index(np.argmax(gap), gap.shape)

@@ -98,18 +98,18 @@ def validate(matrix, tol: float = TRIANGLE_TOL) -> AxiomReport:
             break
         violations.append(Violation("M1*", (int(i),), float(diag[i])))
 
-    # triangle: d(i,j) <= d(i,k) + d(k,j) + tol for every k
-    min_through = np.full((n, n), np.inf)
-    for k in range(n):
-        np.minimum(min_through, d[:, k:k + 1] + d[k:k + 1, :], out=min_through)
-    excess = d - min_through
-    m2 = bool((excess <= tol).all())
-    if not m2:
+    # triangle: d(i,j) <= d(i,k) + d(k,j) + tol for every k; an overflow is +inf
+    with np.errstate(over="ignore"):
+        min_through = np.full((n, n), np.inf)
+        for k in range(n):
+            np.minimum(min_through, d[:, k:k + 1] + d[k:k + 1, :], out=min_through)
+        excess = d - min_through
+        m2 = bool((excess <= tol).all())
         for i, j in np.argwhere(excess > tol):
             if len(violations) >= VIOLATION_CAP:
                 break
             for k in range(n):
-                gap = d[i, j] - d[i, k] - d[k, j]
+                gap = d[i, j] - (d[i, k] + d[k, j])
                 if gap > tol:
                     violations.append(Violation("M2", (int(i), int(j), int(k)), float(gap)))
                     if len(violations) >= VIOLATION_CAP:

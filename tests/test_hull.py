@@ -21,7 +21,7 @@ from qmet import (
 )
 from qmet.errors import NotMetric, QmetError
 from qmet.hull import HullSample, _row_blocks
-from qmet.pairs import AmplePair, embed_point
+from qmet.pairs import AmplePair, embed_point, is_ample
 from helpers import (
     perturbed_space,
     qspaces,
@@ -239,6 +239,17 @@ class TestAgainstReference:
             blocks = _row_blocks(m, 4, m)
             assert len(blocks) > 2 and blocks[-1].stop > m  # a short last block
 
+    @pytest.mark.parametrize("n, k", [(40, 200), (64, 40)])
+    def test_nets_of_several_row_blocks_are_identical(self, n, k):
+        # the fresh retraction and the residual tail each span several row
+        # blocks, and at least one of them ends in a short block
+        X = random_qspace(n, np.random.default_rng(n))
+        H = sample_hull(X, k, seed=n)
+        assert_same_net(H, reference_sample_hull(X, k, seed=n))
+        spans = [(rows, _row_blocks(rows, n, n)) for rows in ((k + 1) // 2, len(H.points) - n)]
+        assert all(len(blocks) > 1 for _, blocks in spans)
+        assert any(blocks[-1].stop > rows for rows, blocks in spans)
+
     def test_pinned_bound_matches(self):
         rng = np.random.default_rng(4)
         X = random_qspace(5, rng)
@@ -258,6 +269,17 @@ def test_arrays_is_a_read_only_stack():
         F1[0, 0] = 1.0
     with pytest.raises(FrozenInstanceError):
         H.arrays = np.zeros((2, 3, 2))
+
+
+@pytest.mark.parametrize("scale", [1e9, 1e12, 1e100])
+def test_closed_spaces_sample_at_any_scale(scale):
+    # ampleness compares d against the rounded sum f2(x) + f1(y), as the
+    # triangle check does, so every embedding of a closed space has gap <= 0
+    for seed in range(10):
+        X = random_qspace(5, np.random.default_rng(seed), scale=scale)
+        for i in range(X.n):
+            assert is_ample(AmplePair(X, X.d[i], X.d[:, i]), tol=0.0) == (True, None)
+        assert len(sample_hull(X, 40, seed).points) > X.n
 
 
 def test_sample_hull_memory():

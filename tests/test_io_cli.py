@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -491,6 +492,17 @@ class TestCLI:
         code, out, err = self.run(capsys, "hull", str(p))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_sums_past_float_range_are_silent(self, capsys, tmp_path):
+        # triangle sums and ampleness gaps overflow to +inf, which changes no
+        # verdict and must print no warning
+        p = tmp_path / "huge.json"
+        p.write_text('{"d": [[0, 1e308, 1e308], [1e308, 0, 1e308], [1e308, 1e308, 0]]}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for argv in (["validate", str(p)], ["hull", str(p), "--samples", "0"]):
+                code, out, err = self.run(capsys, *argv)
+                assert code == 0 and out and err == ""
 
     def test_unknown_demo_message(self, capsys):
         code, out, err = self.run(capsys, "demo", "frob")

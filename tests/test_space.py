@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -95,6 +97,18 @@ class TestValidate:
         assert hits[0].magnitude == pytest.approx(3.0)
         with pytest.raises(ValidationError):
             QSpace([[0, 5, 1], [1, 0, 1], [1, 1, 0]])
+
+    def test_witnesses_past_float_range(self):
+        # a violated pair whose path through another point overflows: that
+        # path is no witness, and its sum raises no overflow warning
+        d = np.ones((4, 4))
+        np.fill_diagonal(d, 0.0)
+        d[0, 1], d[0, 3], d[3, 1] = 1e300, 1.7e308, 1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = validate(d)
+        hits = [v for v in r.violations if v.axiom == "M2" and v.witness[:2] == (0, 1)]
+        assert hits == [Violation("M2", (0, 1, 2), 1e300)]
 
     def test_metric_flag(self):
         assert validate(M2.d).is_metric
