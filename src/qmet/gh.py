@@ -4,10 +4,13 @@ The GH distance between two finite (quasi-)metric spaces is half the minimum
 distortion over correspondences.  Any correspondence contains a
 "double graph" sub-correspondence graph(phi) + graph(psi)^T with no larger
 distortion, so the exact search picks one cell (x, y) of the product per
-point, phi's cells first, then psi's, depth first on an explicit stack.  It
-keeps every cell's cost against the cells picked so far in one matrix,
-raised in place by each pick and restored from an undo log on backtracking,
-and skips a level once the costs still to be paid reach the incumbent.
+point, phi's cells first, then psi's, depth first on an explicit stack.  Its
+first incumbent is the double graph that matches each point to the one with
+the nearest (max out-weight, max in-weight), after Memoli's eccentricity
+bounds.  It keeps every cell's cost against the cells picked so far in one
+matrix, raised in place by each pick and restored from an undo log on
+backtracking, and skips a level once the costs still to be paid reach the
+incumbent.
 Arbitrary weight matrices (asymmetric, negative, nonzero diagonal) are
 accepted by ``distortion`` and ``gh_exact``: on such networks the same
 value is the network distance.
@@ -19,7 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EpsTooSmall, IndexOutOfRange, NotACorrespondence, ValidationError
+from .errors import (
+    EpsTooSmall,
+    IndexOutOfRange,
+    NonFiniteEntry,
+    NotACorrespondence,
+    ValidationError,
+)
 from .space import QSpace, largeness_constant, map_table
 
 DEFAULT_BUDGET = 5_000_000
@@ -29,8 +38,11 @@ def _weights(obj) -> np.ndarray:
     if isinstance(obj, QSpace):
         return obj.d
     w = np.asarray(obj, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError("weight matrix must be square")
+    if w.ndim != 2 or w.shape[0] != w.shape[1] or not len(w):
+        raise ValueError("weight matrix must be square and non-empty")
+    if not np.isfinite(w).all():
+        i, j = np.argwhere(~np.isfinite(w))[0]
+        raise NonFiniteEntry(f"weight ({i},{j}) is not finite")
     return w
 
 
@@ -66,11 +78,13 @@ class Correspondence:
 
 
 def distortion(R: Correspondence) -> float:
-    """Worst |w_left(x,x') - w_right(y,y')| over pairs of related points."""
+    """Worst |w_left(x,x') - w_right(y,y')| over pairs of related points;
+    a difference past the float range counts as +inf."""
     wl, wr = _weights(R.left), _weights(R.right)
     px = np.array([p[0] for p in R.pairs])
     py = np.array([p[1] for p in R.pairs])
-    return float(np.abs(wl[np.ix_(px, px)] - wr[np.ix_(py, py)]).max())
+    with np.errstate(over="ignore"):
+        return float(np.abs(wl[np.ix_(px, px)] - wr[np.ix_(py, py)]).max())
 
 
 @dataclass(frozen=True)
@@ -81,6 +95,23 @@ class GHResult:
     nodes: int
 
 
+def _seed(SX, SY):
+    """The eccentricity-matched correspondence and its distortion.
+
+    Each x goes to the y whose (max out-weight, max in-weight) is nearest in
+    the sup norm, and each y back to such an x, lowest index on ties, in
+    O(n_X n_Y).  Returns the rows and the columns of its cells and its
+    distortion.  ``SX`` and ``SY`` are the (w.T, w) stacks of ``gh_exact``.
+    """
+    wx, wy = SX[1], SY[1]
+    ex, ey = np.maximum.reduce(SX, axis=2), np.maximum.reduce(SY, axis=2)
+    gap = np.abs(ex[:, :, None] - ey[:, None, :])
+    gap = np.maximum(gap[0], gap[1])
+    a = np.concatenate((np.arange(len(wx)), gap.argmin(axis=0)))
+    b = np.concatenate((gap.argmin(axis=1), np.arange(len(wy))))
+    return a, b, float(np.abs(wx[a[:, None], a] - wy[b[:, None], b]).max())
+
+
 def gh_exact(X, Y, budget: int | None = DEFAULT_BUDGET) -> GHResult:
     """Half the minimum distortion over correspondences, by branch and bound.
 
@@ -89,82 +120,99 @@ def gh_exact(X, Y, budget: int | None = DEFAULT_BUDGET) -> GHResult:
     against the cells already picked: a phi level reads a row of it, a psi
     level a column.  A pick raises ``C`` in place and logs the entries it
     raised; backtracking restores them, so ``C`` is never copied.  Each
-    level keeps the candidates below the incumbent, ordered by (running
-    distortion, index), as an iterator on an explicit stack, so the depth
-    n_X + n_Y costs no Python frames.  Every open row and column must still
-    pick a cell and costs only grow, so the largest of their minima in ``C``
-    bounds every completion from below: a level where it reaches the
-    incumbent is skipped unscored.  No skipped leaf would have been
-    accepted, so the result is that of the search without the bound.
+    level keeps its candidates, ordered by (running distortion, index), as
+    an iterator on an explicit stack, so the depth n_X + n_Y costs no Python
+    frames.  Every open row and column must still pick a cell and costs
+    only grow, so the largest of their minima in ``C`` bounds every
+    completion from below: a level where it reaches the incumbent is
+    skipped unscored.  No skipped leaf would have been accepted, so the
+    result is that of the search without the bound.
+
+    The search starts from the eccentricity-matched seed (``_seed``), a
+    double graph and so itself a leaf, of distortion s.  The incumbent
+    starts at nextafter(s, inf), the least float above s, so "below the
+    incumbent" means "at most s" until a leaf is reached: the seed leaf is
+    never pruned, and neither is the first optimal leaf in depth-first
+    order, the one the search from +inf returns.  Only leaves worse than s,
+    which that search would replace anyway, go unvisited.  So value,
+    correspondence and exact flag are those of the search from +inf, in no
+    more nodes.  Starting at s itself would prune an optimal seed and every
+    leaf tied with it.
+
     Every scored candidate is a node; once ``budget`` nodes are spent the
     incumbent comes back flagged inexact (the CLI maps that to exit code
-    3), or the full relation if no leaf was reached.  Two copies of a
-    510-point line take 520,200 nodes; ten random 8-point pairs took
-    728-29,320 nodes (median ~3e3), six random 10-point pairs 8,300-43,530.
+    3), or the seed if no leaf was reached.  A weight difference past the
+    float range is a cost of +inf.  Two copies of a 510-point line take
+    520,200 nodes; a permuted copy of a random n-point space 2n^2 (one
+    dive).  Ten random 8-point pairs took 728-29,320 nodes (median ~3e3)
+    and six random 10-point pairs 8,300-43,530, as many as without the
+    seed: on these the first dive already beats it.
     """
     wx, wy = _weights(X), _weights(Y)
     nx, ny = len(wx), len(wy)
-    C = np.abs(np.subtract.outer(np.diag(wx), np.diag(wy)))
-    flat = C.reshape(-1)
-    # the cell picked at each level: phi fills cols[:nx], psi fills rows[nx:]
-    rows = np.concatenate([np.arange(nx), np.zeros(ny, dtype=int)])
-    cols = np.concatenate([np.zeros(nx, dtype=int), np.arange(ny)])
-    best, leaf, nodes, aborted = np.inf, None, 0, False
-    stack, undo, cur = [], [], 0.0
-    while True:
-        level = len(stack)
-        if level == nx + ny:
-            best, leaf = cur, set(zip(rows.tolist(), cols.tolist()))
-        else:
-            if level < nx:
-                cost, open_rows, open_cols = C[level], C[level:], C
+    with np.errstate(over="ignore"):
+        # [:, x] of these stacks is the pair (wx[:, x], wx[x, :])
+        SX, SY = np.array((wx.T, wx)), np.array((wy.T, wy))
+        seed_rows, seed_cols, s = _seed(SX, SY)
+        C = np.abs(np.subtract.outer(np.diag(wx), np.diag(wy)))
+        flat = C.reshape(-1)
+        # the cell picked at each level: phi fills cols[:nx], psi fills rows[nx:]
+        rows, cols = list(range(nx)) + [0] * ny, [0] * nx + list(range(ny))
+        best, leaf, nodes, aborted = float(np.nextafter(s, np.inf)), None, 0, False
+        stack, undo, cur = [], [], 0.0
+        while True:
+            level = len(stack)
+            if level == nx + ny:
+                best, leaf = cur, set(zip(rows, cols))
             else:
-                cost, open_rows, open_cols = C[:, level - nx], C[:0], C[:, level - nx:]
-            bound = max(
-                open_rows.min(axis=1, initial=np.inf).max(initial=0.0),
-                open_cols.min(axis=0, initial=np.inf).max(initial=0.0),
-            )
-            if bound < best:  # else no completion beats the incumbent (cur < best)
-                if budget is not None and nodes + len(cost) > budget:
-                    nodes, aborted = max(nodes, budget) + 1, True
+                if level < nx:
+                    cost = C[level]
+                    bound = max(
+                        np.maximum.reduce(np.minimum.reduce(C[level:], axis=1)),
+                        np.maximum.reduce(np.minimum.reduce(C, axis=0)),
+                    )
+                else:
+                    cost = C[:, level - nx]
+                    bound = np.maximum.reduce(
+                        np.minimum.reduce(C[:, level - nx:], axis=0)
+                    )
+                if bound < best:  # else no completion beats the incumbent (cur < best)
+                    if budget is not None and nodes + len(cost) > budget:
+                        nodes, aborted = max(nodes, budget) + 1, True
+                        break
+                    nodes += len(cost)
+                    new = np.maximum(cost, cur)
+                    order = new.argsort(kind="stable")
+                    stack.append(iter(zip(new[order].tolist(), order.tolist())))
+            # pop the next candidate that can still beat the incumbent, undoing
+            # the pick it replaces
+            while stack:
+                if len(undo) == len(stack):
+                    idx, old = undo.pop()
+                    flat[idx] = old
+                cur, v = next(stack[-1], (np.inf, 0))
+                if cur < best:
                     break
-                nodes += len(cost)
-                new = np.maximum(cost, cur)
-                keep = np.flatnonzero(new < best)
-                keep = keep[np.lexsort((keep, new[keep]))]
-                stack.append(iter(zip(new[keep].tolist(), keep.tolist())))
-        # pop the next candidate that can still beat the incumbent, undoing
-        # the pick it replaces
-        while stack:
-            if len(undo) == len(stack):
-                idx, old = undo.pop()
-                flat[idx] = old
-            cur, v = next(stack[-1], (np.inf, 0))
-            if cur < best:
+                stack.pop()
+            else:
                 break
-            stack.pop()
-        else:
-            break
-        level = len(stack) - 1
-        if level < nx:
-            cols[level] = v
-        else:
-            rows[level] = v
-        x, y = rows[level], cols[level]
-        # C = max(C, |wx[:, x] - wy[:, y]|, |wx[x, :] - wy[y, :]|) as outer
-        # differences, raised in one buffer
-        raised = np.subtract.outer(wx[:, x], wy[:, y]).reshape(-1)
-        back = np.subtract.outer(wx[x], wy[y]).reshape(-1)
-        np.maximum(np.abs(raised, out=raised), np.abs(back, out=back), out=raised)
-        np.maximum(raised, flat, out=raised)
-        idx = np.flatnonzero(raised != flat)
-        undo.append((idx, flat[idx]))
-        flat[idx] = raised[idx]
+            level = len(stack) - 1
+            if level < nx:
+                cols[level] = v
+            else:
+                rows[level] = v
+            x, y = rows[level], cols[level]
+            # C = max(C, |wx[:, x] - wy[:, y]|, |wx[x, :] - wy[y, :]|) as outer
+            # differences, both in one (2, nx, ny) buffer
+            raised = SX[:, x, :, None] - SY[:, y, None, :]
+            np.abs(raised, out=raised)
+            raised = np.maximum(raised[0], raised[1], out=raised[0]).reshape(-1)
+            idx = (raised > flat).nonzero()[0]
+            undo.append((idx, flat[idx]))
+            flat[idx] = raised[idx]
     if leaf is None:
-        full = Correspondence(
-            X, Y, tuple((i, j) for i in range(nx) for j in range(ny))
-        )
-        return GHResult(distortion(full) / 2.0, full, False, nodes)
+        seed = set(zip(seed_rows.tolist(), seed_cols.tolist()))
+        return GHResult(s / 2.0, Correspondence(X, Y, tuple(seed)), False, nodes)
     return GHResult(
         float(best) / 2.0, Correspondence(X, Y, tuple(leaf)), not aborted, nodes
     )

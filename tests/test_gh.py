@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,11 +23,17 @@ from qmet import (
     rough_isometry_from_correspondence,
     verify_rough_isometry,
 )
-from qmet.errors import EpsTooSmall, IndexOutOfRange, NotACorrespondence
+from qmet.errors import (
+    EpsTooSmall,
+    IndexOutOfRange,
+    NonFiniteEntry,
+    NotACorrespondence,
+)
 from qmet.gh import DEFAULT_BUDGET
 from helpers import (
     brute_gh,
     permuted_copy,
+    perturbed_space,
     qspaces,
     reference_gh,
     reference_is_isometric,
@@ -123,6 +130,47 @@ class TestGHExact:
         assert not r.exact
         assert r.value >= gh_exact(A, B).value - 1e-12
 
+    def test_budget_before_any_leaf_returns_the_seed(self):
+        X, Y = rng_spaces(4, 8, seed=3)[2:]
+        r = gh_exact(X, Y, budget=1)
+        full = Correspondence(X, Y, tuple((i, j) for i in range(8) for j in range(8)))
+        assert not r.exact and r.nodes == 2
+        assert r.value == distortion(r.correspondence) / 2.0
+        assert r.value < distortion(full) / 2.0  # 0.3415 against 0.4527
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_weights_are_typed(self, bad, side):
+        w = [np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[0.0, 1.0], [2.0, 0.0]])]
+        w[side][0, 1] = bad
+        with pytest.raises(NonFiniteEntry):
+            gh_exact(*w)
+        with pytest.raises(NonFiniteEntry):
+            Correspondence(*w, ((0, 0), (1, 1)))
+
+    def test_overflowed_cost_is_infinite_and_silent(self):
+        # 1e308 - (-1e308) leaves the float range in the pick step and in
+        # the seed; the overflowed cells are never the optimum
+        wa = np.array([[0.0, 1e308], [1.0, 0.0]])
+        wb = np.array([[0.0, -1e308], [2.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = gh_exact(wa, wb)
+            assert distortion(r.correspondence) == 1e308
+        assert r.exact and r.value == 5e307 and r.nodes == 8
+        assert r.correspondence.pairs == ((0, 0), (0, 1), (1, 0))
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_permuted_copy_takes_one_dive(self, n, seed):
+        # the eccentricity seed finds the permutation, so the search starts
+        # at an incumbent just above 0 and scores each level once
+        rng = np.random.default_rng(seed)
+        X = random_qspace(n, rng)
+        Y, _ = permuted_copy(X, rng)
+        r = gh_exact(X, Y)
+        assert r.exact and r.value == 0.0 and r.nodes == 2 * n * n
+
 
 def assert_no_worse(got, ref):
     """The look-ahead skips only subtrees without a leaf that beats the
@@ -158,6 +206,16 @@ class TestGHAgainstReference:
         got = gh_exact(X, Y, budget=budget)
         assert_no_worse(got, reference_gh(X, Y, budget=budget))
         assert got.exact or got.nodes == budget + 1
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_perturbed_pairs(self, n):
+        # pairs shaped like acceptance c07 (8% bumps), past the sizes
+        # hypothesis draws
+        rng = np.random.default_rng(700 + n)
+        for _ in range(3):
+            X = random_qspace(n, rng)
+            Y = perturbed_space(X, rng, 0.08 * X.diam)
+            assert_no_worse(gh_exact(X, Y), reference_gh(X, Y))
 
 
 class TestHeavyTail:

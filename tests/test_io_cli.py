@@ -17,6 +17,7 @@ from qmet import (
     estimate_delta,
     gh_exact,
     parse_space,
+    random_qspace,
     rough_inverse,
     rough_isometry_from_correspondence,
     sample_hull,
@@ -315,6 +316,22 @@ class TestCLI:
         )
         assert code == 3
         assert not payload["exact"]
+
+    def test_gh_budget_before_any_leaf_exits_3(self, capsys, tmp_path):
+        rng = np.random.default_rng(3)
+        spaces = [random_qspace(8, rng) for _ in range(4)]
+        paths = []
+        for name, X in zip("xy", spaces[2:]):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(space_to_json(X))
+        code, payload = self.check_json(
+            capsys, "gh", "gh", *map(str, paths), "--budget", "1", "--json"
+        )
+        assert code == 3
+        assert not payload["exact"] and payload["nodes"] == 2
+        # the seed correspondence, one cell per point, not the full 8 x 8
+        assert len(payload["correspondence"]) <= 16
+        assert payload["value"] == payload["distortion"] / 2.0
 
     def test_rough_iso_derived(self, capsys, demo_files):
         code, payload = self.check_json(
