@@ -13,13 +13,15 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotMetric, SizeOverflow
-from .pairs import AmplePair, dquasi, dsym, embed_point, residual, retract_points
+from .pairs import AmplePair, dsym, embed_point, residual, retract_points
 from .space import QSpace
-from .tolerances import CERTIFICATION_TOL, DEDUP_TOL
+from .tolerances import CERTIFICATION_TOL, DEDUP_TOL, TRIANGLE_TOL
 
 PERTURB_RADIUS_FACTOR = 0.25
-# floats per (n, m, rows) temporary of the net kernels: small enough to stay
-# in a core's cache, large enough that each block is mostly arithmetic
+# floats live at once in a row-blocked kernel (the sampler's (n, n, rows)
+# conjugation stacks, the net kernels' 2-D (rows, m) slabs): 512 KB, small
+# enough to stay in a core's cache, large enough that each numpy call is
+# mostly arithmetic
 NET_BLOCK_ELEMENTS = 1 << 16
 
 
@@ -51,7 +53,8 @@ def sample_hull(X: QSpace, k: int, seed: int = 0) -> HullSample:
     hull by the exact two-step retraction g -> (flat(star(g)), star(g)), all
     at once in row blocks (see ``_row_blocks``).  The rest perturb the f1 of
     already accepted members by bounded bumps and retract again, one row at a
-    time: star and flat fill two preallocated buffers.  The bump radius starts
+    time: star and flat are each one subtraction and one column maximum in
+    preallocated buffers.  The bump radius starts
     at 0.25 diam and halves whenever a perturbation collapses onto an existing
     point.  The point embeddings are always included (first).  The kept
     points form one pool, a (2n, n + k) stack with the point axis first:
@@ -86,25 +89,31 @@ def sample_hull(X: QSpace, k: int, seed: int = 0) -> HullSample:
 
         radius = PERTURB_RADIUS_FACTOR * R
         floor = R * 2.0 ** -30
-        T, q = np.empty((n, n)), np.empty(2 * n)
-        p1, p2 = q[:n], q[n:]
+        # g1 and q are columns, so they broadcast against d and the pool as
+        # they are; the zero last row of T clamps each conjugation at 0
+        T, g1, q = np.zeros((n + 1, n)), np.empty((n, 1)), np.empty((2 * n, 1))
+        Tn, q1, q2, dT = T[:n], q[:n], q[n:], np.ascontiguousarray(d.T)
+        p1, p2 = q1[:, 0], q2[:, 0]
         for i in range(k):
             if i < n_fresh:
-                c = fresh[i]
+                c = fresh[i, :, None]
             else:
                 base = int(rng.integers(0, m))
-                g1 = np.maximum(pool[:n, base] + rng.uniform(-radius, radius, size=n), 0.0)
+                np.add(pool[:n, base, None], rng.uniform(-radius, radius, size=(n, 1)), out=g1)
+                np.maximum(g1, 0.0, out=g1)
                 # star: p2(x) = max_y (d(x, y) - g1(y))+
-                np.maximum(np.subtract(d.T, g1[:, None], out=T).max(axis=0, out=p2), 0.0, out=p2)
+                np.subtract(dT, g1, out=Tn)
+                np.maximum.reduce(T, axis=0, out=p2)
                 # flat, clamped by g1: p1(y) = min(max_x (d(x, y) - p2(x))+, g1(y))
-                np.maximum(np.subtract(d, p2[:, None], out=T).max(axis=0, out=p1), 0.0, out=p1)
-                np.minimum(p1, g1, out=p1)
+                np.subtract(d, q2, out=Tn)
+                np.maximum.reduce(T, axis=0, out=p1)
+                np.minimum(q1, g1, out=q1)
                 c = q
-            D = pool[:, :m] - c[:, None]
-            gap = np.abs(D, out=D).max(axis=0).min()
+            D = pool[:, :m] - c
+            gap = np.minimum.reduce(np.maximum.reduce(np.abs(D, out=D), axis=0))
             if gap > DEDUP_TOL:
                 spread = min(spread, gap)
-                pool[:, m] = c
+                pool[:, m, None] = c
                 m += 1
             elif i >= n_fresh and radius > floor:
                 radius /= 2.0
@@ -120,19 +129,54 @@ def sample_hull(X: QSpace, k: int, seed: int = 0) -> HullSample:
 
 def _row_blocks(rows: int, n: int, m: int):
     """Slices cutting ``rows`` source rows into blocks whose (n, m, block)
-    pair-stack temporary holds at most NET_BLOCK_ELEMENTS floats."""
+    temporaries hold at most NET_BLOCK_ELEMENTS floats.  The sampler's
+    conjugations pass the space size as n and m; a net kernel passes as n
+    the number of 2-D (block, m) slabs it keeps live at once."""
     step = max(1, NET_BLOCK_ELEMENTS // (n * m))
     return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
+def _sup_blocks(P: np.ndarray, Q: np.ndarray, absolute: bool = False):
+    """Yield (s, G) over the row blocks s of the (rows, m) matrix
+    G[i, j] = max(0, max_k P[i, k] - Q[j, k]), or of max_k |P[i, k] - Q[j, k]|
+    when ``absolute``, for P of shape (rows, K) and Q of shape (m, K).
+
+    G and one buffer T, each (block, m), hold at most NET_BLOCK_ELEMENTS
+    floats together (see ``_row_blocks``).  G starts at 0 and takes the
+    running maximum over k of one subtraction into T, read from contiguous
+    transposed copies of P and Q.  max is exact, so every entry is the same
+    float as a reduction over one (K, rows, m) stack.  The next block
+    reuses G.
+    """
+    PT, QT = np.ascontiguousarray(P.T), np.ascontiguousarray(Q.T)
+    blocks = _row_blocks(len(P), 2, len(Q))  # the slabs G and T
+    G, T = np.empty((2, min(blocks[0].stop, len(P)), len(Q)))
+    for s in blocks:
+        rows = len(PT[0, s])
+        Gs, Ts = G[:rows], T[:rows]
+        Gs.fill(0.0)
+        for p, q in zip(PT, QT):
+            np.subtract(p[s, None], q, out=Ts)
+            if absolute:
+                np.abs(Ts, out=Ts)
+            np.maximum(Gs, Ts, out=Gs)
+        yield s, Gs
+
+
 def _net_matrix(H: HullSample) -> np.ndarray:
-    """Hull quasi-metric among the net points, base matrix in the first block;
-    evaluated in row blocks (see ``_row_blocks``)."""
+    """Hull quasi-metric among the net points, base matrix in the first block.
+
+    With the coordinates P = (f1, -f2) of each point f, D(f, g) is
+    max(0, max_k P[f, k] - P[g, k]): negation is exact, so -f2(k) + g2(k)
+    rounds as g2(k) - f2(k) does, and each entry is the same float as
+    ``dquasi`` gives.  Built in row blocks by ``_sup_blocks``.
+    """
     F1, F2 = H.arrays
-    n, m = H.space.n, len(F1)
-    D = np.empty((m, m))
-    for s in _row_blocks(m, n, m):
-        D[s] = dquasi(F1[s, None, :], F2[s, None, :], F1, F2)
+    P = np.concatenate([F1, -F2], axis=1)
+    D = np.empty((len(P), len(P)))
+    for s, G in _sup_blocks(P, P):
+        D[s] = G
+    n = H.space.n
     D[:n, :n] = H.space.d
     return D
 
@@ -143,11 +187,25 @@ def hull_as_qspace(H: HullSample) -> QSpace:
     The first rows/columns reproduce the base space exactly (the point
     embedding is isometric, and the block is written from the base matrix
     rather than recomputed with rounding); dedup keeps the matrix T0.
+
+    The matrix is validated with slack max(TRIANGLE_TOL, 4 eps M), M its
+    largest entry, as its rounding error scales with M.  With u = eps/2, let
+    D* be the exact hull distances of the stored points; they satisfy the
+    triangle inequality.  An entry off the base block is a max of single
+    rounded differences, within u D* of D*.  A base entry d(i, j) lies at
+    most the space's own triangle excess below D*, which is at most u M for
+    a space closed up to rounding.  ``validate`` compares each entry with a
+    rounded two-entry sum, and an excess needs that sum near M, so it is at
+    most u M (the entry) + u M (the summands) + u M (the sum) + 2u M (two
+    base summands) = 2.5 eps M; 0.89 eps M is the largest seen, at scales 1
+    to 1e300.  Below M = TRIANGLE_TOL / (4 eps), about 1.1e6, the slack is
+    TRIANGLE_TOL, as for the spaces users supply.
     """
     labels = list(H.space.labels) + [
         f"s{i}" for i in range(len(H.points) - H.space.n)
     ]
-    return QSpace(_net_matrix(H), labels)
+    D = _net_matrix(H)
+    return QSpace(D, labels, tol=max(TRIANGLE_TOL, 4.0 * np.finfo(float).eps * D.max()))
 
 
 @dataclass(frozen=True)
@@ -190,33 +248,42 @@ def net_gh_upper(HX: HullSample, HY: HullSample) -> float:
     bounds the net GH distance from above.  A net approximation, not a
     proof-grade value.  No cover or range check is needed: phi and psi are
     total argmin index arrays into the other net, so the relation covers both
-    nets by construction.  Two related pairs (i, phi i) or (psi j, j) fall in
-    one of four blocks, MX against MY[phi][:, phi], MX[psi][:, psi] against
-    MY, MX[:, psi] against MY[phi, :] and MX[psi, :] against MY[:, phi],
-    whose largest gap is the distortion of the whole relation; the blocks
-    share the row gathers MY[phi] and MX[psi].  The snapping and the net
-    matrices run in row blocks of at most NET_BLOCK_ELEMENTS floats per
-    (n, m, rows) temporary, so each entry is the same max of the same
-    differences as in one (n, m, m) stack.
+    nets by construction.
+
+    The snapping and the net matrices run in 2-D row blocks (see
+    ``_sup_blocks``), the snapping taking each block's row argmin.  The
+    distortion runs in row blocks too, its three live slabs within
+    NET_BLOCK_ELEMENTS floats, with no
+    m x m gather: two related pairs (i, phi i) or (psi j, j) compare
+    MX[i, i'] with MY[phi i, phi i'] or MX[i, psi j'] with MY[phi i, j'],
+    or the same with the nets' roles swapped, so for a block s of X rows
+    the gathered rows R = MY[phi[s]] are compared with MX[s] through
+    R[:, phi], and with MX[s][:, psi] as they are; likewise for Y rows.
+    Each block's largest |A - B| is max(T.max(), -T.min()) of the one
+    subtraction T = A - B; max and negation are exact, so the bound is the
+    same float as the distortion over the whole relation at once.
     """
     if HX.space.n != HY.space.n:
         raise ValueError("net GH bound requires spaces on the same index set")
     pad = float(np.abs(HX.space.d - HY.space.d).max()) / 2.0
 
     def snapped(source: HullSample, target: HullSample) -> np.ndarray:
-        P1, P2 = retract_points(target.space.d, source.arrays[0] + pad)
-        T1, T2 = target.arrays
-        return np.concatenate([
-            dsym(P1[s, None, :], P2[s, None, :], T1, T2).argmin(axis=1)
-            for s in _row_blocks(len(P1), HX.space.n, len(T1))
-        ])
+        P = np.concatenate(retract_points(target.space.d, source.arrays[0] + pad), axis=1)
+        nearest = np.empty(len(P), dtype=np.intp)
+        for s, G in _sup_blocks(P, np.concatenate(target.arrays, axis=1), absolute=True):
+            G.argmin(axis=1, out=nearest[s])
+        return nearest
+
+    def gap(A: np.ndarray, B: np.ndarray) -> float:
+        T = A - B
+        return max(T.max(), -T.min())
 
     phi, psi = snapped(HX, HY), snapped(HY, HX)
     MX, MY = _net_matrix(HX), _net_matrix(HY)
-    MYphi, MXpsi = MY.take(phi, 0), MX.take(psi, 0)  # the shared row gathers
-    return float(max(
-        np.abs(MX - MYphi.take(phi, 1)).max(),
-        np.abs(MXpsi.take(psi, 1) - MY).max(),
-        np.abs(MX.take(psi, 1) - MYphi).max(),
-        np.abs(MXpsi - MY.take(phi, 1)).max(),
-    )) / 2.0
+    worst = 0.0
+    for A, B, f, g in ((MX, MY, phi, psi), (MY, MX, psi, phi)):
+        # the slabs R, one gathered copy and one difference
+        for s in _row_blocks(len(A), 3, max(len(A), len(B))):
+            R = B.take(f[s], 0)
+            worst = max(worst, gap(A[s], R.take(f, 1)), gap(A[s].take(g, 1), R))
+    return float(worst) / 2.0

@@ -19,13 +19,14 @@ from qmet import (
     random_qspace,
     sample_hull,
 )
-from qmet.errors import NotMetric, QmetError
-from qmet.hull import HullSample, _row_blocks
+from qmet.errors import NotMetric, QmetError, ValidationError
+from qmet.hull import HullSample, _net_matrix, _row_blocks
 from qmet.pairs import AmplePair, embed_point, is_ample
 from helpers import (
     perturbed_space,
     qspaces,
     reference_net_gh_upper,
+    reference_net_matrix,
     reference_sample_hull,
 )
 
@@ -236,7 +237,7 @@ class TestAgainstReference:
         assert net_gh_upper(HX, HY) == reference_net_gh_upper(RX, RY)
         for H in (HX, HY):
             m = len(H.points)
-            blocks = _row_blocks(m, 4, m)
+            blocks = _row_blocks(m, 2, m)  # the 2-D blocks of the net matrices
             assert len(blocks) > 2 and blocks[-1].stop > m  # a short last block
 
     @pytest.mark.parametrize("n, k", [(40, 200), (64, 40)])
@@ -249,6 +250,26 @@ class TestAgainstReference:
         spans = [(rows, _row_blocks(rows, n, n)) for rows in ((k + 1) // 2, len(H.points) - n)]
         assert all(len(blocks) > 1 for _, blocks in spans)
         assert any(blocks[-1].stop > rows for rows, blocks in spans)
+
+    @pytest.mark.parametrize("n, k", [(16, 350), (40, 400), (64, 300)])
+    def test_net_kernels_of_several_blocks_match(self, n, k):
+        # nets of different sizes, so that every kernel of the bound (both
+        # net matrices, both snappings and both halves of the distortion)
+        # spans several 2-D row blocks and ends in a short one
+        rng = np.random.default_rng(1500 + n)
+        X = random_qspace(n, rng)
+        Y = perturbed_space(X, rng, 0.08 * X.diam)
+        HX, HY = sample_hull(X, k, seed=n), sample_hull(Y, k - 37, seed=n + 1)
+        mx, my = len(HX.points), len(HY.points)
+        assert mx != my
+        spans = [(rows, 2, m) for rows, m in ((mx, mx), (my, my), (mx, my), (my, mx))]
+        spans += [(rows, 3, max(mx, my)) for rows in (mx, my)]
+        for rows, slabs, m in spans:
+            blocks = _row_blocks(rows, slabs, m)
+            assert len(blocks) > 1 and blocks[-1].stop > rows
+        for H in (HX, HY):
+            assert np.array_equal(_net_matrix(H), reference_net_matrix(H))
+        assert net_gh_upper(HX, HY) == reference_net_gh_upper(HX, HY)
 
     def test_pinned_bound_matches(self):
         rng = np.random.default_rng(4)
@@ -280,6 +301,46 @@ def test_closed_spaces_sample_at_any_scale(scale):
         for i in range(X.n):
             assert is_ample(AmplePair(X, X.d[i], X.d[:, i]), tol=0.0) == (True, None)
         assert len(sample_hull(X, 40, seed).points) > X.n
+
+
+def test_net_gh_upper_memory():
+    # the net kernels work on 2-D row blocks and the distortion gathers no
+    # m x m copy: two ~1900-point nets peaked near 170 MB with those copies
+    rng = np.random.default_rng(1)
+    X = random_qspace(4, rng)
+    HX = sample_hull(X, 2000, seed=1)
+    HY = sample_hull(perturbed_space(X, rng, 0.08 * X.diam), 2000, seed=2)
+    assert min(len(HX.points), len(HY.points)) > 1000
+    tracemalloc.start()
+    try:
+        net_gh_upper(HX, HY)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80_000_000
+
+
+@pytest.mark.parametrize("scale", [1e9, 1e100, 1e300])
+def test_nets_validate_at_any_scale(scale):
+    # the net matrix is checked with a slack of 4 eps times its largest
+    # entry; at the absolute TRIANGLE_TOL its rounding failed M2 at 1e9
+    for seed in range(30 if scale == 1e9 else 5):
+        X = random_qspace(5, np.random.default_rng(seed), scale=scale)
+        Q = hull_as_qspace(sample_hull(X, 100, seed))
+        assert Q.classification.is_pseudo_quasi_metric
+        assert np.array_equal(Q.d[: X.n, : X.n], X.d)
+
+
+def test_net_slack_stays_absolute_at_unit_scale():
+    # a space accepted at a looser tolerance carries its 1e-6 triangle
+    # excess into the net's base block; at scale 1 the net is checked at
+    # TRIANGLE_TOL, as a supplied matrix is, so both are rejected
+    bent = QSpace([[0.0, 1.0, 2.0 + 1e-6], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]], tol=1e-5)
+    with pytest.raises(ValidationError):
+        QSpace(bent.d)
+    embeddings = tuple(AmplePair(bent, bent.d[i], bent.d[:, i]) for i in range(3))
+    with pytest.raises(ValidationError):
+        hull_as_qspace(HullSample(bent, embeddings, 0, 1.0))
 
 
 def test_sample_hull_memory():

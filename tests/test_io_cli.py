@@ -510,6 +510,25 @@ class TestCLI:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    def test_hull_matrix_near_float_range_exits_0(self, capsys, tmp_path):
+        # the net matrix is validated with a slack relative to its largest
+        # entry; at the absolute TRIANGLE_TOL its rounding failed M2 (exit 2)
+        p = tmp_path / "huge.json"
+        p.write_text('{"d": [[0, 8e307], [8e307, 0]]}')
+        code, out, err = self.run(capsys, "hull", str(p), "--samples", "50", "--matrix", "--json")
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert len(payload["matrix"]) == payload["count"] > 2
+
+    def test_hull_of_a_broken_triangle_exits_2(self, capsys, tmp_path):
+        # a space the user supplies keeps the absolute tolerance: an excess
+        # of 1e-6 is rejected before any net is drawn
+        p = tmp_path / "bent.json"
+        p.write_text('{"d": [[0, 1, 2.000001], [1, 0, 1], [1, 1, 0]]}')
+        code, out, err = self.run(capsys, "hull", str(p), "--samples", "5", "--matrix")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "M2 at (0, 2, 1)" in err
+
     def test_sums_past_float_range_are_silent(self, capsys, tmp_path):
         # triangle sums and ampleness gaps overflow to +inf, which changes no
         # verdict and must print no warning
