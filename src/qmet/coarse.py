@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleFamily, NotMinimal, NotNonexpansive
-from .pairs import EVAL_ELEMENTS, AmplePair, dquasi, dsym, in_hull, retract
+from .pairs import AmplePair, dquasi, dsym, in_hull, retract, row_blocks
 from .space import QSpace, map_table
 from .tolerances import AMPLE_TOL, CERTIFICATION_TOL
 
@@ -117,14 +117,14 @@ class DeltaEstimate:
 
 
 def _evaluate_boxes(X: QSpace, A: np.ndarray, B: np.ndarray):
-    """Retract the corners and centre of each box [A, B], with at most
-    EVAL_ELEMENTS floats per (rows, n, n) temporary.  Returns their best gap
+    """Retract the corners and centre of each box [A, B], in row blocks of
+    3 n * n floats a box (``pairs.row_blocks``).  Returns their best gap
     less its residual and, per box, the least over x of max(D(r(b), e_x),
     D(e_x, r(a))): no hull point h with r(a) <= h <= r(b) is further from e_x."""
-    d, m = X.d, max(1, EVAL_ELEMENTS // (3 * X.n * X.n))
+    d = X.d
     best, bounds = 0.0, []
-    for i in range(0, len(A), m):
-        a, b = A[i : i + m], B[i : i + m]
+    for s in row_blocks(len(A), 3 * d.size):
+        a, b = A[s], B[s]
         P1, P2, res = retract(d, np.concatenate([a, b, (a + b) / 2.0]))
         P1, P2 = P1[:, None, :], P2[:, None, :]
         best = max(best, float((dsym(P1, P2, d, d.T).min(axis=1) - res).max()))

@@ -13,16 +13,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotMetric, SizeOverflow
-from .pairs import AmplePair, dsym, embed_point, residual, retract_points
+from .pairs import AmplePair, dsym, embed_point, residual, retract_points, row_blocks
 from .space import QSpace
 from .tolerances import CERTIFICATION_TOL, DEDUP_TOL, TRIANGLE_TOL
 
 PERTURB_RADIUS_FACTOR = 0.25
-# floats live at once in a row-blocked kernel (the sampler's (n, n, rows)
-# conjugation stacks, the net kernels' 2-D (rows, m) slabs): 512 KB, small
-# enough to stay in a core's cache, large enough that each numpy call is
-# mostly arithmetic
-NET_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -51,19 +46,20 @@ def sample_hull(X: QSpace, k: int, seed: int = 0) -> HullSample:
 
     Half the candidates are fresh: g uniform in [0, 2 diam]^n, sent to the
     hull by the exact two-step retraction g -> (flat(star(g)), star(g)), all
-    at once in row blocks (see ``_row_blocks``).  The rest perturb the f1 of
-    already accepted members by bounded bumps and retract again, one row at a
-    time: star and flat are each one subtraction and one column maximum in
-    preallocated buffers.  The bump radius starts
-    at 0.25 diam and halves whenever a perturbation collapses onto an existing
-    point.  The point embeddings are always included (first).  The kept
-    points form one pool, a (2n, n + k) stack with the point axis first:
-    column j is (f1, f2) of point j.  One dedup rule serves every candidate,
-    fresh or perturbed, in draw order: its gap is its least sym-distance to
-    the pool's live columns, one subtraction, and it is kept when the gap
-    exceeds DEDUP_TOL.  ``spread`` is the least gap of a kept point, or
-    between embeddings.  Residuals are measured once, at the end, for the
-    kept points only.  SizeOverflow when k > 0 and 2 diam overflows a float.
+    at once.  The rest perturb the f1 of already accepted members by bounded
+    bumps and retract again, one row at a time: star and flat are each one
+    subtraction and one column maximum in preallocated buffers.  The bump
+    radius starts at 0.25 diam and halves whenever a perturbation collapses
+    onto an existing point.  The point embeddings are always included
+    (first).  The kept points form one pool, a (2n, n + k) stack with the
+    point axis first: column j is (f1, f2) of point j.  One dedup rule serves
+    every candidate, fresh or perturbed, in draw order: its gap is its least
+    sym-distance to the pool's live columns, one subtraction, and it is kept
+    when the gap exceeds DEDUP_TOL.  ``spread`` is the least gap of a kept
+    point, or between embeddings.  Residuals are measured once, at the end,
+    for the kept points only.  The fresh retraction and the residuals run in
+    row blocks of n * n floats a row (``pairs.row_blocks``).  SizeOverflow
+    when k > 0 and 2 diam overflows a float.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -82,10 +78,7 @@ def sample_hull(X: QSpace, k: int, seed: int = 0) -> HullSample:
     R = X.diam
     if k > 0 and R > 0.0:
         n_fresh = (k + 1) // 2
-        C1 = rng.uniform(0.0, 2.0 * R, size=(n_fresh, n))
-        fresh = np.empty((n_fresh, 2 * n))  # row i is fresh candidate i, (p1, p2)
-        for s in _row_blocks(n_fresh, n, n):
-            fresh[s, :n], fresh[s, n:] = retract_points(d, C1[s])
+        fresh = _retract_rows(d, rng.uniform(0.0, 2.0 * R, size=(n_fresh, n)))
 
         radius = PERTURB_RADIUS_FACTOR * R
         floor = R * 2.0 ** -30
@@ -119,7 +112,7 @@ def sample_hull(X: QSpace, k: int, seed: int = 0) -> HullSample:
                 radius /= 2.0
 
     F1, F2 = pool[:n, n:m].T, pool[n:, n:m].T
-    for s in _row_blocks(m - n, n, n):
+    for s in row_blocks(m - n, n * n):
         points += [
             AmplePair(X, f1, f2, certified_minimal=True, certified_tol=float(r))
             for f1, f2, r in zip(F1[s], F2[s], residual(d, F1[s], F2[s]))
@@ -127,13 +120,13 @@ def sample_hull(X: QSpace, k: int, seed: int = 0) -> HullSample:
     return HullSample(X, tuple(points), seed, float(spread))
 
 
-def _row_blocks(rows: int, n: int, m: int):
-    """Slices cutting ``rows`` source rows into blocks whose (n, m, block)
-    temporaries hold at most NET_BLOCK_ELEMENTS floats.  The sampler's
-    conjugations pass the space size as n and m; a net kernel passes as n
-    the number of 2-D (block, m) slabs it keeps live at once."""
-    step = max(1, NET_BLOCK_ELEMENTS // (n * m))
-    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+def _retract_rows(d: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """The rows (p1, p2) of the hull points of the rows of G, in row blocks."""
+    n = len(d)
+    P = np.empty((len(G), 2 * n))
+    for s in row_blocks(len(G), n * n):
+        P[s, :n], P[s, n:] = retract_points(d, G[s])
+    return P
 
 
 def _sup_blocks(P: np.ndarray, Q: np.ndarray, absolute: bool = False):
@@ -141,15 +134,15 @@ def _sup_blocks(P: np.ndarray, Q: np.ndarray, absolute: bool = False):
     G[i, j] = max(0, max_k P[i, k] - Q[j, k]), or of max_k |P[i, k] - Q[j, k]|
     when ``absolute``, for P of shape (rows, K) and Q of shape (m, K).
 
-    G and one buffer T, each (block, m), hold at most NET_BLOCK_ELEMENTS
-    floats together (see ``_row_blocks``).  G starts at 0 and takes the
-    running maximum over k of one subtraction into T, read from contiguous
-    transposed copies of P and Q.  max is exact, so every entry is the same
-    float as a reduction over one (K, rows, m) stack.  The next block
-    reuses G.
+    G and one buffer T, each (block, m), are live at once, so the blocks
+    are ``pairs.row_blocks`` at 2 m floats a row.  G starts at 0 and takes
+    the running maximum over k of one subtraction into T, read from
+    contiguous transposed copies of P and Q.  max is exact, so every entry
+    is the same float as a reduction over one (K, rows, m) stack.  The next
+    block reuses G.
     """
     PT, QT = np.ascontiguousarray(P.T), np.ascontiguousarray(Q.T)
-    blocks = _row_blocks(len(P), 2, len(Q))  # the slabs G and T
+    blocks = row_blocks(len(P), 2 * len(Q))  # the slabs G and T
     G, T = np.empty((2, min(blocks[0].stop, len(P)), len(Q)))
     for s in blocks:
         rows = len(PT[0, s])
@@ -250,11 +243,11 @@ def net_gh_upper(HX: HullSample, HY: HullSample) -> float:
     total argmin index arrays into the other net, so the relation covers both
     nets by construction.
 
-    The snapping and the net matrices run in 2-D row blocks (see
-    ``_sup_blocks``), the snapping taking each block's row argmin.  The
-    distortion runs in row blocks too, its three live slabs within
-    NET_BLOCK_ELEMENTS floats, with no
-    m x m gather: two related pairs (i, phi i) or (psi j, j) compare
+    Every kernel runs in the row blocks of ``pairs.row_blocks``.  The
+    snapping retracts at n * n floats a row and takes each row's argmin in
+    the 2-D blocks of ``_sup_blocks``, which also builds the net matrices.
+    The distortion keeps three slabs of max(mX, mY) floats a row live and
+    makes no m x m gather: two related pairs (i, phi i) or (psi j, j) compare
     MX[i, i'] with MY[phi i, phi i'] or MX[i, psi j'] with MY[phi i, j'],
     or the same with the nets' roles swapped, so for a block s of X rows
     the gathered rows R = MY[phi[s]] are compared with MX[s] through
@@ -268,7 +261,7 @@ def net_gh_upper(HX: HullSample, HY: HullSample) -> float:
     pad = float(np.abs(HX.space.d - HY.space.d).max()) / 2.0
 
     def snapped(source: HullSample, target: HullSample) -> np.ndarray:
-        P = np.concatenate(retract_points(target.space.d, source.arrays[0] + pad), axis=1)
+        P = _retract_rows(target.space.d, source.arrays[0] + pad)
         nearest = np.empty(len(P), dtype=np.intp)
         for s, G in _sup_blocks(P, np.concatenate(target.arrays, axis=1), absolute=True):
             G.argmin(axis=1, out=nearest[s])
@@ -283,7 +276,7 @@ def net_gh_upper(HX: HullSample, HY: HullSample) -> float:
     worst = 0.0
     for A, B, f, g in ((MX, MY, phi, psi), (MY, MX, psi, phi)):
         # the slabs R, one gathered copy and one difference
-        for s in _row_blocks(len(A), 3, max(len(A), len(B))):
+        for s in row_blocks(len(A), 3 * max(len(A), len(B))):
             R = B.take(f[s], 0)
             worst = max(worst, gap(A[s], R.take(f, 1)), gap(A[s].take(g, 1), R))
     return float(worst) / 2.0

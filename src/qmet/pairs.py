@@ -40,7 +40,18 @@ from .errors import (
 from .space import QSpace, subset_indices
 from .tolerances import AMPLE_TOL, CERTIFICATION_TOL
 
-EVAL_ELEMENTS = 1 << 22  # floats per broadcast temporary where callers chunk
+# floats a row-blocked kernel keeps live at once: 512 KB stays in a core's
+# cache, and each numpy call on it is still mostly arithmetic
+BLOCK_ELEMENTS = 1 << 16
+
+
+def row_blocks(rows: int, per_row: int) -> list[slice]:
+    """Slices of ``rows`` rows at ``per_row`` floats a row, each of at most
+    max(1, BLOCK_ELEMENTS // per_row) rows.  Every batched max-minus kernel
+    runs in these blocks; max and subtraction are exact, so no value depends
+    on their size."""
+    step = max(1, BLOCK_ELEMENTS // per_row)
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
 @dataclass(frozen=True, eq=False)

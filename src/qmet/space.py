@@ -13,6 +13,8 @@ function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -67,7 +69,13 @@ class AxiomReport:
         return "quasi-metric" if self.is_quasi_metric else "pseudo-quasi-metric"
 
 
-def _check_candidate(matrix) -> np.ndarray:
+def validate(matrix, tol: float = TRIANGLE_TOL) -> AxiomReport:
+    """Classify a candidate distance matrix against the metric axioms.
+
+    M2 is checked with slack ``tol``; every violated triple is listed, capped
+    at 100 witnesses overall.  Raises NonSquareMatrix / NegativeEntry /
+    NonFiniteEntry when the input is not even a candidate.
+    """
     d = np.asarray(matrix, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] == 0:
         raise NonSquareMatrix(f"expected a non-empty square matrix, got shape {d.shape}")
@@ -77,66 +85,38 @@ def _check_candidate(matrix) -> np.ndarray:
     if (d < 0).any():
         i, j = np.argwhere(d < 0)[0]
         raise NegativeEntry(f"entry ({i},{j}) = {d[i, j]} is negative")
-    return d
-
-
-def validate(matrix, tol: float = TRIANGLE_TOL) -> AxiomReport:
-    """Classify a candidate distance matrix against the metric axioms.
-
-    M2 is checked with slack ``tol``; every violated triple is listed, capped
-    at 100 witnesses overall.  Raises NonSquareMatrix / NegativeEntry /
-    NonFiniteEntry when the input is not even a candidate.
-    """
-    d = _check_candidate(matrix)
-    n = d.shape[0]
-    violations: list[Violation] = []
-
     diag = np.diagonal(d)
-    m1_star = bool((diag <= tol).all())
-    for i in np.nonzero(diag > tol)[0]:
-        if len(violations) >= VIOLATION_CAP:
-            break
-        violations.append(Violation("M1*", (int(i),), float(diag[i])))
-
     # triangle: d(i,j) <= d(i,k) + d(k,j) + tol for every k; an overflow is +inf
     with np.errstate(over="ignore"):
-        min_through = np.full((n, n), np.inf)
-        for k in range(n):
+        min_through = np.full(d.shape, np.inf)
+        for k in range(len(d)):
             np.minimum(min_through, d[:, k:k + 1] + d[k:k + 1, :], out=min_through)
-        excess = d - min_through
-        m2 = bool((excess <= tol).all())
-        for i, j in np.argwhere(excess > tol):
-            if len(violations) >= VIOLATION_CAP:
-                break
-            for k in range(n):
-                gap = d[i, j] - (d[i, k] + d[k, j])
-                if gap > tol:
-                    violations.append(Violation("M2", (int(i), int(j), int(k)), float(gap)))
-                    if len(violations) >= VIOLATION_CAP:
-                        break
-
+    excess = d - min_through
     merged = np.argwhere(np.triu((d <= tol) & (d.T <= tol), 1))
-    m1 = len(merged) == 0
-    for i, j in merged[: max(VIOLATION_CAP - len(violations), 0)]:
-        violations.append(
-            Violation("M1", (int(i), int(j)), float(max(d[i, j], d[j, i])))
-        )
-
     asym = np.abs(d - d.T)
-    m3 = bool((asym <= tol).all())
-    if not m3:
-        for i, j in np.argwhere(np.triu(asym, 1) > tol):
-            if len(violations) >= VIOLATION_CAP:
-                break
-            violations.append(Violation("M3", (int(i), int(j)), float(asym[i, j])))
 
+    def witnesses():
+        for i in np.flatnonzero(diag > tol):
+            yield Violation("M1*", (int(i),), float(diag[i]))
+        for i, j in np.argwhere(excess > tol):
+            with np.errstate(over="ignore"):
+                gaps = d[i, j] - (d[i, :] + d[:, j])
+            for k in np.flatnonzero(gaps > tol):
+                yield Violation("M2", (int(i), int(j), int(k)), float(gaps[k]))
+        for i, j in merged:
+            yield Violation("M1", (int(i), int(j)), float(max(d[i, j], d[j, i])))
+        for i, j in np.argwhere(np.triu(asym, 1) > tol):
+            yield Violation("M3", (int(i), int(j)), float(asym[i, j]))
+
+    m1, m1_star = len(merged) == 0, bool((diag <= tol).all())
+    m2, m3 = bool((excess <= tol).all()), bool((asym <= tol).all())
     return AxiomReport(
         satisfies_M1=m1,
         satisfies_M1_star=m1_star,
         satisfies_M2=m2,
         satisfies_M3=m3,
         is_metric=m1 and m1_star and m2 and m3,
-        violations=tuple(violations[:VIOLATION_CAP]),
+        violations=tuple(islice(witnesses(), VIOLATION_CAP)),
     )
 
 
@@ -144,7 +124,7 @@ class QSpace:
     """A finite labeled point set with a (pseudo-)quasi-metric matrix."""
 
     def __init__(self, d, labels: Sequence[str] | None = None, *, tol: float = TRIANGLE_TOL):
-        d = _check_candidate(d).copy()
+        d = np.array(d, dtype=float)  # a private copy; validate checks it
         report = validate(d, tol=tol)
         if not report.is_pseudo_quasi_metric:
             raise ValidationError(report)
@@ -157,16 +137,13 @@ class QSpace:
             raise ValidationError(report, f"{len(labels)} labels for {self.n} points")
         self.labels = tuple(str(l) for l in labels)
         self.classification = report
-        self._dsym: np.ndarray | None = None
 
-    @property
+    @cached_property
     def dsym(self) -> np.ndarray:
         """Symmetrized matrix max(d, d^T); always a (pseudo-)metric."""
-        if self._dsym is None:
-            s = np.maximum(self.d, self.d.T)
-            s.setflags(write=False)
-            self._dsym = s
-        return self._dsym
+        s = np.maximum(self.d, self.d.T)
+        s.setflags(write=False)
+        return s
 
     @property
     def diam(self) -> float:

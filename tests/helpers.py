@@ -7,7 +7,6 @@ from qmet import QSpace, ample_completion, random_qspace, triangle_closure
 from qmet.gh import DEFAULT_BUDGET, Correspondence, GHResult, distortion
 from qmet.hull import PERTURB_RADIUS_FACTOR, HullSample
 from qmet.pairs import (
-    EVAL_ELEMENTS,
     AmplePair,
     dquasi,
     dsym,
@@ -360,19 +359,16 @@ def reference_net_gh_upper(HX, HY):
 def reference_evaluate_boxes(X, A, B):
     """``coarse._evaluate_boxes`` as it read when ``retract`` measured its
     residual with a second flat(P2) and the corner rows came from np.split,
-    kept as its reference: the delta brackets must not move."""
-    d, m = X.d, max(1, EVAL_ELEMENTS // (3 * X.n * X.n))
-    best, bounds = 0.0, []
-    for i in range(0, len(A), m):
-        a, b = A[i : i + m], B[i : i + m]
-        P1, P2 = retract_points(d, np.concatenate([a, b, (a + b) / 2.0]))
-        res = residual(d, P1, P2)
-        P1, P2 = P1[:, None, :], P2[:, None, :]
-        best = max(best, float((dsym(P1, P2, d, d.T).min(axis=1) - res).max()))
-        (P1a, P1b, _), (P2a, P2b, _) = np.split(P1, 3), np.split(P2, 3)
-        up = np.maximum(dquasi(P1b, P2b, d, d.T), dquasi(d, d.T, P1a, P2a))
-        bounds.append(up.min(axis=1))
-    return best, np.concatenate(bounds)
+    kept as its reference with every box in one block: the delta brackets
+    must not move."""
+    d = X.d
+    P1, P2 = retract_points(d, np.concatenate([A, B, (A + B) / 2.0]))
+    res = residual(d, P1, P2)
+    P1, P2 = P1[:, None, :], P2[:, None, :]
+    best = max(0.0, float((dsym(P1, P2, d, d.T).min(axis=1) - res).max()))
+    (P1a, P1b, _), (P2a, P2b, _) = np.split(P1, 3), np.split(P2, 3)
+    up = np.maximum(dquasi(P1b, P2b, d, d.T), dquasi(d, d.T, P1a, P2a))
+    return best, up.min(axis=1)
 
 
 def reference_candidates(X, Y, tol):

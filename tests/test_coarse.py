@@ -24,7 +24,7 @@ from qmet import (
     random_qspace,
     sample_hull,
 )
-from qmet import coarse
+from qmet import coarse, pairs
 from qmet.errors import IndexOutOfRange, InfeasibleFamily, NotMinimal, NotNonexpansive
 from qmet.pairs import AmplePair
 from helpers import (
@@ -253,9 +253,9 @@ class TestDeltaBracket:
     def test_evaluation_in_chunks_changes_nothing(self, monkeypatch, name):
         X = demo_space(name)
         whole = estimate_delta(X, samples=300)
-        monkeypatch.setattr(coarse, "EVAL_ELEMENTS", 2 * 3 * X.n * X.n)  # two boxes
+        monkeypatch.setattr(pairs, "BLOCK_ELEMENTS", 2 * 3 * X.n * X.n)  # two boxes
         assert estimate_delta(X, samples=300) == whole
-        monkeypatch.setattr(coarse, "EVAL_ELEMENTS", 1)  # one box
+        monkeypatch.setattr(pairs, "BLOCK_ELEMENTS", 1)  # one box
         assert estimate_delta(X, samples=300) == whole
 
     def test_brackets_match_the_reference_evaluation(self, monkeypatch):

@@ -19,9 +19,10 @@ from qmet import (
     random_qspace,
     sample_hull,
 )
+from qmet import pairs
 from qmet.errors import NotMetric, QmetError, ValidationError
-from qmet.hull import HullSample, _net_matrix, _row_blocks
-from qmet.pairs import AmplePair, embed_point, is_ample
+from qmet.hull import HullSample, _net_matrix
+from qmet.pairs import AmplePair, embed_point, is_ample, row_blocks
 from helpers import (
     perturbed_space,
     qspaces,
@@ -237,7 +238,7 @@ class TestAgainstReference:
         assert net_gh_upper(HX, HY) == reference_net_gh_upper(RX, RY)
         for H in (HX, HY):
             m = len(H.points)
-            blocks = _row_blocks(m, 2, m)  # the 2-D blocks of the net matrices
+            blocks = row_blocks(m, 2 * m)  # the 2-D blocks of the net matrices
             assert len(blocks) > 2 and blocks[-1].stop > m  # a short last block
 
     @pytest.mark.parametrize("n, k", [(40, 200), (64, 40)])
@@ -247,7 +248,7 @@ class TestAgainstReference:
         X = random_qspace(n, np.random.default_rng(n))
         H = sample_hull(X, k, seed=n)
         assert_same_net(H, reference_sample_hull(X, k, seed=n))
-        spans = [(rows, _row_blocks(rows, n, n)) for rows in ((k + 1) // 2, len(H.points) - n)]
+        spans = [(rows, row_blocks(rows, n * n)) for rows in ((k + 1) // 2, len(H.points) - n)]
         assert all(len(blocks) > 1 for _, blocks in spans)
         assert any(blocks[-1].stop > rows for rows, blocks in spans)
 
@@ -265,7 +266,7 @@ class TestAgainstReference:
         spans = [(rows, 2, m) for rows, m in ((mx, mx), (my, my), (mx, my), (my, mx))]
         spans += [(rows, 3, max(mx, my)) for rows in (mx, my)]
         for rows, slabs, m in spans:
-            blocks = _row_blocks(rows, slabs, m)
+            blocks = row_blocks(rows, slabs * m)
             assert len(blocks) > 1 and blocks[-1].stop > rows
         for H in (HX, HY):
             assert np.array_equal(_net_matrix(H), reference_net_matrix(H))
@@ -318,6 +319,45 @@ def test_net_gh_upper_memory():
     finally:
         tracemalloc.stop()
     assert peak < 80_000_000
+
+
+def test_net_gh_upper_memory_at_n_64():
+    # the snapping retraction runs in row blocks too: retracting all ~360
+    # rows at once made (m, n, n) temporaries of about 12 MB
+    rng = np.random.default_rng(1564)
+    X = random_qspace(64, rng)
+    Y = perturbed_space(X, rng, 0.08 * X.diam)
+    HX, HY = sample_hull(X, 300, seed=64), sample_hull(Y, 263, seed=65)
+    HX.arrays, HY.arrays  # built before tracing
+    tracemalloc.start()
+    try:
+        net_gh_upper(HX, HY)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000
+
+
+@pytest.mark.parametrize("elements", [1, 2_000, 20_000])
+def test_block_size_changes_nothing(monkeypatch, elements):
+    # max and subtraction are exact, so no value depends on the row blocks;
+    # at 1 every batched kernel runs one row at a time, at 2,000 and 20,000
+    # the net kernels take a few rows a block
+    rng = np.random.default_rng(7007)
+    X = random_qspace(4, rng)
+    Y = perturbed_space(X, rng, 0.08 * X.diam)
+
+    def run():
+        HX, HY = sample_hull(X, 400, 0), sample_hull(Y, 400, 1000)
+        return HX, HY, _net_matrix(HX), _net_matrix(HY), net_gh_upper(HX, HY)
+
+    want = run()
+    monkeypatch.setattr(pairs, "BLOCK_ELEMENTS", elements)
+    got = run()
+    assert_same_net(got[0], want[0])
+    assert_same_net(got[1], want[1])
+    assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
+    assert got[4] == want[4]
 
 
 @pytest.mark.parametrize("scale", [1e9, 1e100, 1e300])

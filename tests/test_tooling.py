@@ -95,6 +95,22 @@ def test_every_projection_is_a_retraction():
     assert found == ["pairs.project_to_hull"]
 
 
+def test_one_block_rule():
+    # pairs.row_blocks sizes every batched kernel: no other module names its
+    # BLOCK_ELEMENTS, imports it or keeps a block constant of its own
+    found = sorted(
+        {
+            f"{path.stem}.{name}"
+            for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+            for name in [getattr(node, "id", getattr(node, "attr", getattr(node, "name", "")))]
+            if name.endswith("_ELEMENTS")
+        }
+    )
+    assert found == ["pairs.BLOCK_ELEMENTS"]
+
+
 def test_schemas_list_the_ledger():
     # every --json envelope carries ledger() under "tolerances"; each schema
     # copies its keys by hand, so a key added to the ledger must reach them all
