@@ -44,7 +44,7 @@ from .tolerances import TRIANGLE_TOL, ledger
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
-# hull and delta allocate their sample buffers up front, so --samples is capped
+# hull allocates its --samples buffers up front; delta's --samples box budget bounds its time
 MAX_SAMPLES = 10**6
 # hull --matrix writes an m x m matrix and validates it in O(m^3) time
 MAX_MATRIX_POINTS = 2000
@@ -305,9 +305,7 @@ def dispatch(argv=None) -> int:
     try:
         code, payload, lines = args.func(args)
     except ValidationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        for v in err.report.violations:
-            print(f"  {v.axiom} at {v.witness}: {v.magnitude:.6g}", file=sys.stderr)
+        print("\n".join([f"error: {err}", *_violation_lines(err.report)]), file=sys.stderr)
         return EXIT_INVALID
     except (QmetError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -26,9 +26,11 @@ from .errors import (
     EpsTooSmall,
     IndexOutOfRange,
     NonFiniteEntry,
+    NonSquareMatrix,
     NotACorrespondence,
     ValidationError,
 )
+from .pairs import row_blocks
 from .space import QSpace, largeness_constant, map_table
 
 DEFAULT_BUDGET = 5_000_000
@@ -39,7 +41,7 @@ def _weights(obj) -> np.ndarray:
         return obj.d
     w = np.asarray(obj, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1] or not len(w):
-        raise ValueError("weight matrix must be square and non-empty")
+        raise NonSquareMatrix(f"expected a non-empty square weight matrix, got shape {w.shape}")
     if not np.isfinite(w).all():
         i, j = np.argwhere(~np.isfinite(w))[0]
         raise NonFiniteEntry(f"weight ({i},{j}) is not finite")
@@ -77,14 +79,25 @@ class Correspondence:
                 raise NotACorrespondence("right", j)
 
 
+def _distortion(wx: np.ndarray, wy: np.ndarray, a, b) -> float:
+    """max over u, v of |wx[a_u, a_v] - wy[b_u, b_v]|, the distortion of the
+    relation {(a_u, b_u)}: every distortion in qmet is measured here.  Runs
+    in ``pairs.row_blocks`` of three len(a)-float slabs a row; max(T.max(),
+    -T.min()) of each block's difference T is exact, so no value depends on
+    the blocks.  An overflow counts as +inf, with no warning."""
+    a, b = np.asarray(a), np.asarray(b)
+    worst = 0.0
+    with np.errstate(over="ignore"):
+        for s in row_blocks(len(a), 3 * len(a)):
+            T = wx.take(a[s], 0).take(a, 1) - wy.take(b[s], 0).take(b, 1)
+            worst = max(worst, T.max(), -T.min())
+    return float(worst)
+
+
 def distortion(R: Correspondence) -> float:
     """Worst |w_left(x,x') - w_right(y,y')| over pairs of related points;
     a difference past the float range counts as +inf."""
-    wl, wr = _weights(R.left), _weights(R.right)
-    px = np.array([p[0] for p in R.pairs])
-    py = np.array([p[1] for p in R.pairs])
-    with np.errstate(over="ignore"):
-        return float(np.abs(wl[np.ix_(px, px)] - wr[np.ix_(py, py)]).max())
+    return _distortion(_weights(R.left), _weights(R.right), *np.array(R.pairs).T)
 
 
 @dataclass(frozen=True)
@@ -109,7 +122,7 @@ def _seed(SX, SY):
     gap = np.maximum(gap[0], gap[1])
     a = np.concatenate((np.arange(len(wx)), gap.argmin(axis=0)))
     b = np.concatenate((gap.argmin(axis=1), np.arange(len(wy))))
-    return a, b, float(np.abs(wx[a[:, None], a] - wy[b[:, None], b]).max())
+    return a, b, _distortion(wx, wy, a, b)
 
 
 def gh_exact(X, Y, budget: int | None = DEFAULT_BUDGET) -> GHResult:
@@ -265,8 +278,7 @@ class RoughIsometryWitness:
 def verify_rough_isometry(phi, X: QSpace, Y: QSpace) -> RoughIsometryWitness:
     """Measure a total map X -> Y as a sym-rough isometry (exact constants)."""
     phi = map_table(phi, X.n, Y.n)
-    ix = np.asarray(phi)
-    eps_embed = float(np.abs(X.d - Y.d[np.ix_(ix, ix)]).max())
+    eps_embed = _distortion(X.d, Y.d, np.arange(X.n), phi)
     eps_large = largeness_constant(Y, sorted(set(phi)))
     return RoughIsometryWitness(X, Y, phi, eps_embed, eps_large)
 

@@ -12,7 +12,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NotMetric, SizeOverflow
+from .errors import LengthMismatch, NotMetric, SizeOverflow
+from .gh import _distortion
 from .pairs import AmplePair, dsym, embed_point, residual, retract_points, row_blocks
 from .space import QSpace
 from .tolerances import CERTIFICATION_TOL, DEDUP_TOL, TRIANGLE_TOL
@@ -139,7 +140,8 @@ def _sup_blocks(P: np.ndarray, Q: np.ndarray, absolute: bool = False):
     the running maximum over k of one subtraction into T, read from
     contiguous transposed copies of P and Q.  max is exact, so every entry
     is the same float as a reduction over one (K, rows, m) stack.  The next
-    block reuses G.
+    block reuses G.  The net matrices and the snapping run here; the
+    distortion of the nets' relation runs in ``gh._distortion``.
     """
     PT, QT = np.ascontiguousarray(P.T), np.ascontiguousarray(Q.T)
     blocks = row_blocks(len(P), 2 * len(Q))  # the slabs G and T
@@ -241,23 +243,16 @@ def net_gh_upper(HX: HullSample, HY: HullSample) -> float:
     bounds the net GH distance from above.  A net approximation, not a
     proof-grade value.  No cover or range check is needed: phi and psi are
     total argmin index arrays into the other net, so the relation covers both
-    nets by construction.
+    nets by construction.  LengthMismatch when the index sets differ.
 
     Every kernel runs in the row blocks of ``pairs.row_blocks``.  The
     snapping retracts at n * n floats a row and takes each row's argmin in
     the 2-D blocks of ``_sup_blocks``, which also builds the net matrices.
-    The distortion keeps three slabs of max(mX, mY) floats a row live and
-    makes no m x m gather: two related pairs (i, phi i) or (psi j, j) compare
-    MX[i, i'] with MY[phi i, phi i'] or MX[i, psi j'] with MY[phi i, j'],
-    or the same with the nets' roles swapped, so for a block s of X rows
-    the gathered rows R = MY[phi[s]] are compared with MX[s] through
-    R[:, phi], and with MX[s][:, psi] as they are; likewise for Y rows.
-    Each block's largest |A - B| is max(T.max(), -T.min()) of the one
-    subtraction T = A - B; max and negation are exact, so the bound is the
-    same float as the distortion over the whole relation at once.
+    The distortion of the relation {(i, phi i)} + {(psi j, j)} is
+    ``gh._distortion``, which makes no m x m gather.
     """
     if HX.space.n != HY.space.n:
-        raise ValueError("net GH bound requires spaces on the same index set")
+        raise LengthMismatch("net GH bound requires spaces on the same index set")
     pad = float(np.abs(HX.space.d - HY.space.d).max()) / 2.0
 
     def snapped(source: HullSample, target: HullSample) -> np.ndarray:
@@ -267,16 +262,7 @@ def net_gh_upper(HX: HullSample, HY: HullSample) -> float:
             G.argmin(axis=1, out=nearest[s])
         return nearest
 
-    def gap(A: np.ndarray, B: np.ndarray) -> float:
-        T = A - B
-        return max(T.max(), -T.min())
-
     phi, psi = snapped(HX, HY), snapped(HY, HX)
-    MX, MY = _net_matrix(HX), _net_matrix(HY)
-    worst = 0.0
-    for A, B, f, g in ((MX, MY, phi, psi), (MY, MX, psi, phi)):
-        # the slabs R, one gathered copy and one difference
-        for s in row_blocks(len(A), 3 * max(len(A), len(B))):
-            R = B.take(f[s], 0)
-            worst = max(worst, gap(A[s], R.take(f, 1)), gap(A[s].take(g, 1), R))
-    return float(worst) / 2.0
+    a = np.concatenate((np.arange(len(phi)), psi))
+    b = np.concatenate((phi, np.arange(len(psi))))
+    return _distortion(_net_matrix(HX), _net_matrix(HY), a, b) / 2.0

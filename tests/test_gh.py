@@ -23,10 +23,12 @@ from qmet import (
     rough_isometry_from_correspondence,
     verify_rough_isometry,
 )
+from qmet import pairs as qpairs
 from qmet.errors import (
     EpsTooSmall,
     IndexOutOfRange,
     NonFiniteEntry,
+    NonSquareMatrix,
     NotACorrespondence,
 )
 from qmet.gh import DEFAULT_BUDGET
@@ -35,6 +37,7 @@ from helpers import (
     permuted_copy,
     perturbed_space,
     qspaces,
+    reference_distortion,
     reference_gh,
     reference_is_isometric,
     rng_spaces,
@@ -74,6 +77,71 @@ class TestCorrespondence:
         wb = [[0.0, 4.0], [1.0, 1.0]]
         R = Correspondence(wa, wb, ((0, 0), (1, 1)))
         assert distortion(R) == pytest.approx(5.0)
+
+
+@st.composite
+def relations(draw, left, right):
+    """An arbitrary correspondence between two spaces or weight matrices: any
+    cells of the product, repeats allowed, then a random partner for each
+    point they leave uncovered."""
+    nx, ny = (len(getattr(side, "d", side)) for side in (left, right))
+    cells = draw(st.lists(st.tuples(st.integers(0, nx - 1), st.integers(0, ny - 1)), max_size=2 * nx * ny))
+    cells += [(i, draw(st.integers(0, ny - 1))) for i in set(range(nx)) - {i for i, _ in cells}]
+    cells += [(draw(st.integers(0, nx - 1)), j) for j in set(range(ny)) - {j for _, j in cells}]
+    return Correspondence(left, right, tuple(cells))
+
+
+@st.composite
+def huge_networks(draw):
+    """Signed weights, some of them near +-1e308, so differences overflow."""
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.floats(-2.0, 2.0), st.floats(1e307, 1.7e308), st.floats(-1.7e308, -1e307))
+    return np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n))).reshape(n, n)
+
+
+def at_block_sizes(measure):
+    """``measure()`` with every row block one row, then at the default size."""
+    values = []
+    for elements in (1, qpairs.BLOCK_ELEMENTS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qpairs, "BLOCK_ELEMENTS", elements)
+            values.append(measure())
+    return values
+
+
+class TestDistortionKernel:
+    # one row-blocked kernel measures every distortion; it must give the
+    # unblocked np.ix_ oracle's float at any block size
+    @given(st.data())
+    def test_relations_match_the_oracle(self, data):
+        spaces = qspaces(min_n=1, max_n=6)
+        sides = data.draw(st.tuples(spaces, spaces) | st.tuples(huge_networks(), huge_networks()))
+        R = data.draw(relations(*sides))
+        assert at_block_sizes(lambda: distortion(R)) == [reference_distortion(R)] * 2
+
+    @given(qspaces(min_n=1, max_n=6), qspaces(min_n=1, max_n=6), st.data())
+    def test_embedding_constant_matches_the_oracle(self, X, Y, data):
+        phi = data.draw(st.lists(st.integers(0, Y.n - 1), min_size=X.n, max_size=X.n))
+        want = np.abs(X.d - Y.d[np.ix_(phi, phi)]).max()
+        got = at_block_sizes(lambda: verify_rough_isometry(phi, X, Y).eps_embed)
+        assert got == [want] * 2
+
+    def test_memory(self):
+        # row blocks of the relation: one np.ix_ gather of each side of this
+        # 2,000-pair relation peaked at 64 MB
+        rng = np.random.default_rng(0)
+        wa, wb = rng.normal(size=(2, 1000, 1000))
+        cells = list(enumerate(rng.permutation(1000).tolist()))
+        cells += [(i, j) for j, i in enumerate(rng.integers(0, 1000, 1000).tolist())]
+        R = Correspondence(wa, wb, tuple(cells))
+        tracemalloc.start()
+        try:
+            value = distortion(R)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == reference_distortion(R)
+        assert peak < 8_000_000
 
 
 class TestGHExact:
@@ -147,6 +215,13 @@ class TestGHExact:
             gh_exact(*w)
         with pytest.raises(NonFiniteEntry):
             Correspondence(*w, ((0, 0), (1, 1)))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (0, 0), (3,)])
+    def test_non_square_weights_are_typed(self, shape):
+        with pytest.raises(NonSquareMatrix):
+            gh_exact(np.zeros(shape), np.zeros((2, 2)))
+        with pytest.raises(NonSquareMatrix):
+            Correspondence(np.zeros((2, 2)), np.zeros(shape), ((0, 0), (1, 0)))
 
     def test_overflowed_cost_is_infinite_and_silent(self):
         # 1e308 - (-1e308) leaves the float range in the pick step and in

@@ -20,7 +20,7 @@ from qmet import (
     sample_hull,
 )
 from qmet import pairs
-from qmet.errors import NotMetric, QmetError, ValidationError
+from qmet.errors import LengthMismatch, NotMetric, QmetError, ValidationError
 from qmet.hull import HullSample, _net_matrix
 from qmet.pairs import AmplePair, embed_point, is_ample, row_blocks
 from helpers import (
@@ -175,6 +175,12 @@ class TestNetGHUpper:
         value = net_gh_upper(sample_hull(X, 40, seed=1), sample_hull(Y, 40, seed=2))
         assert value == 0.22485157141525347
 
+    def test_spaces_on_different_index_sets_are_typed(self):
+        rng = np.random.default_rng(4)
+        HX, HY = sample_hull(random_qspace(4, rng), 10), sample_hull(random_qspace(5, rng), 10)
+        with pytest.raises(LengthMismatch):
+            net_gh_upper(HX, HY)
+
 
 def test_pinned_net():
     # every net point and the spread, as drawn before the pool grew in place
@@ -255,8 +261,8 @@ class TestAgainstReference:
     @pytest.mark.parametrize("n, k", [(16, 350), (40, 400), (64, 300)])
     def test_net_kernels_of_several_blocks_match(self, n, k):
         # nets of different sizes, so that every kernel of the bound (both
-        # net matrices, both snappings and both halves of the distortion)
-        # spans several 2-D row blocks and ends in a short one
+        # net matrices, both snappings and the distortion of the relation of
+        # mx + my pairs) spans several 2-D row blocks and ends in a short one
         rng = np.random.default_rng(1500 + n)
         X = random_qspace(n, rng)
         Y = perturbed_space(X, rng, 0.08 * X.diam)
@@ -264,7 +270,7 @@ class TestAgainstReference:
         mx, my = len(HX.points), len(HY.points)
         assert mx != my
         spans = [(rows, 2, m) for rows, m in ((mx, mx), (my, my), (mx, my), (my, mx))]
-        spans += [(rows, 3, max(mx, my)) for rows in (mx, my)]
+        spans += [(mx + my, 3, mx + my)]
         for rows, slabs, m in spans:
             blocks = row_blocks(rows, slabs * m)
             assert len(blocks) > 1 and blocks[-1].stop > rows

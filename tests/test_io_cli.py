@@ -529,6 +529,16 @@ class TestCLI:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "M2 at (0, 2, 1)" in err
 
+    def test_failed_command_lists_witnesses_as_validate_does(self, capsys, tmp_path):
+        # one formatter: a command that meets a ValidationError prints its
+        # witnesses exactly as validate reports them
+        p = tmp_path / "bent.json"
+        p.write_text('{"d": [[0, 1, 2.000001], [1, 0, 1], [1, 1, 0]]}')
+        _, out, _ = self.run(capsys, "validate", str(p))
+        code, _, err = self.run(capsys, "hull", str(p), "--samples", "5")
+        witnesses = [line for line in out.splitlines() if " at (" in line]
+        assert code == 2 and witnesses and err.splitlines()[1:] == witnesses
+
     def test_sums_past_float_range_are_silent(self, capsys, tmp_path):
         # triangle sums and ampleness gaps overflow to +inf, which changes no
         # verdict and must print no warning

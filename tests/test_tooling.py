@@ -111,6 +111,18 @@ def test_one_block_rule():
     assert found == ["pairs.BLOCK_ELEMENTS"]
 
 
+def test_one_distortion_kernel():
+    # a relation's distortion is measured once, by gh._distortion: the
+    # correspondences, the GH seed, rough isometries and the net GH bound
+    found = {
+        owner
+        for path in sorted(SRC.glob("*.py"))
+        for owner, name in _owned_calls(path)
+        if name == "_distortion"
+    }
+    assert found == {"gh.distortion", "gh._seed", "gh.verify_rough_isometry", "hull.net_gh_upper"}
+
+
 def test_schemas_list_the_ledger():
     # every --json envelope carries ledger() under "tolerances"; each schema
     # copies its keys by hand, so a key added to the ledger must reach them all
