@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InfeasibleFamily, NotMinimal, NotNonexpansive
 from .pairs import AmplePair, dquasi, dsym, in_hull, retract, row_blocks
 from .space import QSpace, map_table
-from .tolerances import AMPLE_TOL, CERTIFICATION_TOL
+from .tolerances import AMPLE_TOL
 
 NONEXPANSIVE_TOL = 1e-9
 
@@ -59,25 +59,25 @@ def family_violation(X: QSpace, F: BallFamily, tol: float = AMPLE_TOL):
     return int(i), int(j), float(excess[i, j])
 
 
-def _excess(X: QSpace, F: BallFamily) -> np.ndarray:
-    """Per z, max_i max(d(x_i, z) - r_i, d(z, x_i) - s_i), -inf for an empty
-    family; raises InfeasibleFamily when F itself is infeasible."""
+def _feasible_arrays(X: QSpace, F: BallFamily):
+    """``_arrays`` of a feasible family; raises InfeasibleFamily otherwise."""
     bad = family_violation(X, F)
     if bad is not None:
         raise InfeasibleFamily((bad[0], bad[1]), bad[2])
-    xs, rs, ss = _arrays(X, F)
-    up = X.d[xs, :] - rs[:, None]
-    return np.maximum(up, X.d[:, xs].T - ss[:, None]).max(axis=0, initial=-np.inf)
+    return _arrays(X, F)
 
 
 def find_center(X: QSpace, F: BallFamily, delta: float, atol: float = 1e-12) -> int | None:
     """Lowest-index z inside every inflated two-sided ball, or None.
 
-    z qualifies when d(x_i, z) - r_i <= delta + atol and d(z, x_i) - s_i <=
-    delta + atol for every entry; an empty family is solved by z = 0.  Raises
-    InfeasibleFamily when F itself is infeasible.
+    z qualifies when d(x_i, z) <= r_i + delta + atol and d(z, x_i) <= s_i +
+    delta + atol for every entry, each side rounded as written; an empty
+    family is solved by z = 0.  Raises InfeasibleFamily when F itself is
+    infeasible.
     """
-    hits = np.flatnonzero(_excess(X, F) <= delta + atol)
+    xs, rs, ss = _feasible_arrays(X, F)
+    up = X.d[xs, :] <= rs[:, None] + delta + atol
+    hits = np.flatnonzero((up & (X.d[:, xs].T <= ss[:, None] + delta + atol)).all(axis=0))
     return int(hits[0]) if hits.size else None
 
 
@@ -87,8 +87,8 @@ def family_from_hull_point(X: QSpace, f: AmplePair) -> BallFamily:
     Its least satisfiable delta equals the symmetrized hull distance from f
     to the nearest embedded point.
     """
-    if not (f.certified_minimal or in_hull(f, CERTIFICATION_TOL)):
-        raise NotMinimal("family extraction requires a certified minimal pair")
+    if not in_hull(f):
+        raise NotMinimal("family extraction requires a minimal pair")
     return BallFamily(
         tuple((x, float(f.f2[x]), float(f.f1[x])) for x in range(X.n))
     )
@@ -97,7 +97,10 @@ def family_from_hull_point(X: QSpace, f: AmplePair) -> BallFamily:
 def min_delta(X: QSpace, F: BallFamily) -> float:
     """Least delta solving a feasible family (else InfeasibleFamily), in closed
     form: min over z of max_i max(d(x_i, z) - r_i, d(z, x_i) - s_i, 0)."""
-    return max(float(_excess(X, F).min()), 0.0)
+    xs, rs, ss = _feasible_arrays(X, F)
+    up = X.d[xs, :] - rs[:, None]
+    excess = np.maximum(up, X.d[:, xs].T - ss[:, None]).max(axis=0, initial=-np.inf)
+    return max(float(excess.min()), 0.0)
 
 
 def distance_to_embedding(X: QSpace, f: AmplePair) -> float:
@@ -125,7 +128,7 @@ def _evaluate_boxes(X: QSpace, A: np.ndarray, B: np.ndarray):
     best, bounds = 0.0, []
     for s in row_blocks(len(A), 3 * d.size):
         a, b = A[s], B[s]
-        P1, P2, res = retract(d, np.concatenate([a, b, (a + b) / 2.0]))
+        P1, P2, res = retract(d, np.concatenate([a, b, a / 2.0 + b / 2.0]))
         P1, P2 = P1[:, None, :], P2[:, None, :]
         best = max(best, float((dsym(P1, P2, d, d.T).min(axis=1) - res).max()))
         r = len(a)  # the rows of r(a), then those of r(b)
@@ -169,7 +172,7 @@ def estimate_delta(
         SA, SB, top = SA[k:], SB[k:], top[k:]
         side = (np.arange(k), np.argmax(B - A, axis=1))
         A2, B2 = A.copy(), B.copy()
-        A2[side] = B2[side] = (A[side] + B[side]) / 2.0
+        A2[side] = B2[side] = A[side] / 2.0 + B[side] / 2.0
         A, B = np.concatenate([A, A2]), np.concatenate([B2, B])
     upper = float(top.max(initial=lower) + 4.0 * np.finfo(float).eps * max(X.diam, 1.0))
     return DeltaEstimate(lower, upper, samples, boxes)

@@ -16,7 +16,7 @@ from .errors import LengthMismatch, NotMetric, SizeOverflow
 from .gh import _distortion
 from .pairs import AmplePair, dsym, embed_point, residual, retract_points, row_blocks
 from .space import QSpace
-from .tolerances import CERTIFICATION_TOL, DEDUP_TOL, TRIANGLE_TOL
+from .tolerances import CERTIFICATION_TOL, DEDUP_TOL, TRIANGLE_TOL, slack
 
 PERTURB_RADIUS_FACTOR = 0.25
 
@@ -48,19 +48,19 @@ def sample_hull(X: QSpace, k: int, seed: int = 0) -> HullSample:
     Half the candidates are fresh: g uniform in [0, 2 diam]^n, sent to the
     hull by the exact two-step retraction g -> (flat(star(g)), star(g)), all
     at once.  The rest perturb the f1 of already accepted members by bounded
-    bumps and retract again, one row at a time: star and flat are each one
-    subtraction and one column maximum in preallocated buffers.  The bump
-    radius starts at 0.25 diam and halves whenever a perturbation collapses
-    onto an existing point.  The point embeddings are always included
-    (first).  The kept points form one pool, a (2n, n + k) stack with the
-    point axis first: column j is (f1, f2) of point j.  One dedup rule serves
-    every candidate, fresh or perturbed, in draw order: its gap is its least
-    sym-distance to the pool's live columns, one subtraction, and it is kept
-    when the gap exceeds DEDUP_TOL.  ``spread`` is the least gap of a kept
-    point, or between embeddings.  Residuals are measured once, at the end,
-    for the kept points only.  The fresh retraction and the residuals run in
-    row blocks of n * n floats a row (``pairs.row_blocks``).  SizeOverflow
-    when k > 0 and 2 diam overflows a float.
+    bumps and retract again, one row at a time; both halves retract through
+    ``pairs.retract_points``.  The bump radius starts at 0.25 diam and halves
+    whenever a perturbation collapses onto an existing point.  The point
+    embeddings are always included (first).  The kept points form one pool, a
+    (2n, n + k) stack with the point axis first: column j is (f1, f2) of point
+    j.  One dedup rule serves every candidate, fresh or perturbed, in draw
+    order: its gap is its least sym-distance to the pool's live columns, one
+    subtraction, and it is kept when the gap exceeds DEDUP_TOL.  ``spread`` is
+    the least gap of a kept point, or between embeddings.  Residuals are
+    measured once, at the end, for the kept points only.  The fresh retraction
+    and the residuals run in row blocks of n * n floats a row
+    (``pairs.row_blocks``).  SizeOverflow when k > 0 and 2 diam overflows a
+    float.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -69,7 +69,8 @@ def sample_hull(X: QSpace, k: int, seed: int = 0) -> HullSample:
     rng = np.random.default_rng(seed)
     d, n = X.d, X.n
     points = [embed_point(X, i) for i in range(n)]
-    # the pool of accepted points, grown in place; columns [:m] are live
+    # the pool of accepted points, grown in place; columns [:m] are live and
+    # each candidate is drawn into column m, which a kept candidate keeps
     pool = np.empty((2 * n, n + k))
     pool[:n, :n], pool[n:, :n] = d.T, d  # the embeddings x -> (d(x, .), d(., x))
     gaps = dsym(d[:, None, :], d.T[:, None, :], d, d.T)
@@ -83,31 +84,17 @@ def sample_hull(X: QSpace, k: int, seed: int = 0) -> HullSample:
 
         radius = PERTURB_RADIUS_FACTOR * R
         floor = R * 2.0 ** -30
-        # g1 and q are columns, so they broadcast against d and the pool as
-        # they are; the zero last row of T clamps each conjugation at 0
-        T, g1, q = np.zeros((n + 1, n)), np.empty((n, 1)), np.empty((2 * n, 1))
-        Tn, q1, q2, dT = T[:n], q[:n], q[n:], np.ascontiguousarray(d.T)
-        p1, p2 = q1[:, 0], q2[:, 0]
         for i in range(k):
             if i < n_fresh:
-                c = fresh[i, :, None]
+                pool[:, m] = fresh[i]
             else:
                 base = int(rng.integers(0, m))
-                np.add(pool[:n, base, None], rng.uniform(-radius, radius, size=(n, 1)), out=g1)
-                np.maximum(g1, 0.0, out=g1)
-                # star: p2(x) = max_y (d(x, y) - g1(y))+
-                np.subtract(dT, g1, out=Tn)
-                np.maximum.reduce(T, axis=0, out=p2)
-                # flat, clamped by g1: p1(y) = min(max_x (d(x, y) - p2(x))+, g1(y))
-                np.subtract(d, q2, out=Tn)
-                np.maximum.reduce(T, axis=0, out=p1)
-                np.minimum(q1, g1, out=q1)
-                c = q
-            D = pool[:, :m] - c
+                g1 = np.maximum(pool[:n, base] + rng.uniform(-radius, radius, size=n), 0.0)
+                pool[:n, m], pool[n:, m] = retract_points(d, g1)
+            D = pool[:, :m] - pool[:, m, None]
             gap = np.minimum.reduce(np.maximum.reduce(np.abs(D, out=D), axis=0))
             if gap > DEDUP_TOL:
                 spread = min(spread, gap)
-                pool[:, m, None] = c
                 m += 1
             elif i >= n_fresh and radius > floor:
                 radius /= 2.0
@@ -183,24 +170,24 @@ def hull_as_qspace(H: HullSample) -> QSpace:
     embedding is isometric, and the block is written from the base matrix
     rather than recomputed with rounding); dedup keeps the matrix T0.
 
-    The matrix is validated with slack max(TRIANGLE_TOL, 4 eps M), M its
-    largest entry, as its rounding error scales with M.  With u = eps/2, let
-    D* be the exact hull distances of the stored points; they satisfy the
-    triangle inequality.  An entry off the base block is a max of single
-    rounded differences, within u D* of D*.  A base entry d(i, j) lies at
-    most the space's own triangle excess below D*, which is at most u M for
-    a space closed up to rounding.  ``validate`` compares each entry with a
-    rounded two-entry sum, and an excess needs that sum near M, so it is at
-    most u M (the entry) + u M (the summands) + u M (the sum) + 2u M (two
-    base summands) = 2.5 eps M; 0.89 eps M is the largest seen, at scales 1
-    to 1e300.  Below M = TRIANGLE_TOL / (4 eps), about 1.1e6, the slack is
-    TRIANGLE_TOL, as for the spaces users supply.
+    The matrix is validated with ``slack(TRIANGLE_TOL, M)`` =
+    max(TRIANGLE_TOL, 4 eps M), M its largest entry, as its rounding error
+    scales with M.  With u = eps/2, let D* be the exact hull distances of the
+    stored points; they satisfy the triangle inequality.  An entry off the
+    base block is a max of single rounded differences, within u D* of D*.  A
+    base entry d(i, j) lies at most the space's own triangle excess below D*,
+    which is at most u M for a space closed up to rounding.  ``validate``
+    compares each entry with a rounded two-entry sum, and an excess needs that
+    sum near M, so it is at most u M (the entry) + u M (the summands) + u M
+    (the sum) + 2u M (two base summands) = 2.5 eps M; 0.89 eps M is the
+    largest seen, at scales 1 to 1e300.  Below M = TRIANGLE_TOL / (4 eps),
+    about 1.1e6, the slack is TRIANGLE_TOL, as for the spaces users supply.
     """
     labels = list(H.space.labels) + [
         f"s{i}" for i in range(len(H.points) - H.space.n)
     ]
     D = _net_matrix(H)
-    return QSpace(D, labels, tol=max(TRIANGLE_TOL, 4.0 * np.finfo(float).eps * D.max()))
+    return QSpace(D, labels, tol=slack(TRIANGLE_TOL, D.max()))
 
 
 @dataclass(frozen=True)

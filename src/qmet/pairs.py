@@ -38,7 +38,7 @@ from .errors import (
     SubsetMismatch,
 )
 from .space import QSpace, subset_indices
-from .tolerances import AMPLE_TOL, CERTIFICATION_TOL
+from .tolerances import AMPLE_TOL, CERTIFICATION_TOL, slack
 
 # floats a row-blocked kernel keeps live at once: 512 KB stays in a core's
 # cache, and each numpy call on it is still mostly arithmetic
@@ -86,7 +86,7 @@ class AmplePair:
 
 
 def is_ample(f: AmplePair, tol: float = AMPLE_TOL):
-    """Check d(x,y) <= f2(x) + f1(y) within tol.
+    """Check d(x,y) <= f2(x) + f1(y) within slack(tol, diam).
 
     Returns (flag, worst) where worst is None or the most violated
     (x, y, excess) triple.
@@ -94,7 +94,7 @@ def is_ample(f: AmplePair, tol: float = AMPLE_TOL):
     with np.errstate(over="ignore"):  # d against the rounded sum, as in validate
         gap = f.space.d - (f.f2[:, None] + f.f1[None, :])
     worst = gap.max()
-    if worst > tol:
+    if worst > slack(tol, f.space.diam):
         i, j = np.unravel_index(np.argmax(gap), gap.shape)
         return False, (int(i), int(j), float(worst))
     return True, None
@@ -110,19 +110,19 @@ def _lead(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A - B of broadcast stacks, axes reversed and C-ordered: the point axis
     leads, so ``.max(axis=0)`` takes whole-slab maxima (numpy reduces a short
     trailing axis one output entry at a time); ``.T`` restores batch-first."""
-    nd = max(A.ndim, B.ndim)
-    A, B = A[(None,) * (nd - A.ndim)], B[(None,) * (nd - B.ndim)]
+    if A.ndim != B.ndim:  # pad the shorter with leading axes
+        A, B = A[(None,) * (B.ndim - A.ndim)], B[(None,) * (A.ndim - B.ndim)]
     return np.subtract(A.T, B.T, order="C")
 
 
 def star(d: np.ndarray, F1: np.ndarray) -> np.ndarray:
     """The least f2 making (f1, f2) ample: f2(x) = max_y (d(x,y) - f1(y))+."""
-    return np.maximum(_lead(d, F1[..., None, :]).max(axis=0).T, 0.0)
+    return _lead(d, F1[..., None, :]).max(axis=0, initial=0.0).T
 
 
 def flat(d: np.ndarray, F2: np.ndarray) -> np.ndarray:
     """The least f1 making (f1, f2) ample: f1(y) = max_x (d(x,y) - f2(x))+."""
-    return np.maximum(_lead(d.T, F2[..., None, :]).max(axis=0).T, 0.0)
+    return _lead(d.T, F2[..., None, :]).max(axis=0, initial=0.0).T
 
 
 def dsym(F1: np.ndarray, F2: np.ndarray, G1: np.ndarray, G2: np.ndarray) -> np.ndarray:
@@ -136,8 +136,8 @@ def dsym(F1: np.ndarray, F2: np.ndarray, G1: np.ndarray, G2: np.ndarray) -> np.n
 
 def dquasi(F1: np.ndarray, F2: np.ndarray, G1: np.ndarray, G2: np.ndarray) -> np.ndarray:
     """Hull quasi-metric max(max (f1 - g1)+, max (g2 - f2)+) of broadcast stacks."""
-    up = np.maximum(_lead(F1, G1).max(axis=0), 0.0)
-    return np.maximum(up, np.maximum(_lead(G2, F2).max(axis=0), 0.0)).T
+    up = _lead(F1, G1).max(axis=0, initial=0.0)
+    return np.maximum(up, _lead(G2, F2).max(axis=0, initial=0.0)).T
 
 
 def residual(d: np.ndarray, F1: np.ndarray, F2: np.ndarray) -> np.ndarray:
@@ -197,9 +197,9 @@ def project_to_hull(f: AmplePair) -> AmplePair:
 
 
 def in_hull(f: AmplePair, tol: float = CERTIFICATION_TOL) -> bool:
-    """True when f is its own double conjugate within tol (minimality)."""
+    """True when f is minimal: its own double conjugate within slack(tol, diam)."""
     _require_ample(f)
-    return bool(residual(f.space.d, f.f1, f.f2) <= tol)
+    return bool(residual(f.space.d, f.f1, f.f2) <= slack(tol, f.space.diam))
 
 
 def pair_dist(f: AmplePair, g: AmplePair, mode: str = "D") -> float:
@@ -247,11 +247,11 @@ def extend_from_subspace(X: QSpace, subset, f: AmplePair) -> AmplePair:
     iy = np.asarray(subset_indices(X, subset))
     if not np.array_equal(X.d[np.ix_(iy, iy)], f.space.d):
         raise SubsetMismatch("pair does not live on the selected subspace")
-    if not (f.certified_minimal or in_hull(f, CERTIFICATION_TOL)):
-        raise NotMinimal("extension requires a certified minimal pair")
+    if not in_hull(f):
+        raise NotMinimal("extension requires a minimal pair")
     s1 = (X.d[iy, :] + f.f1[:, None]).min(axis=0)
     P1, P2, res = retract(X.d, s1)
     drift = dsym(P1[iy], P2[iy], f.f1, f.f2)
-    if not drift <= 1e-7:
+    if not drift <= slack(CERTIFICATION_TOL, X.diam):
         raise NotMinimal(f"extension moved subspace values by {drift:.3e}")
     return AmplePair(X, P1, P2, certified_minimal=True, certified_tol=float(res))

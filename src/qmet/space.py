@@ -373,12 +373,13 @@ def triangle_closure(matrix) -> np.ndarray:
     d = np.asarray(matrix, dtype=float).copy()
     n = d.shape[0]
     np.fill_diagonal(d, 0.0)
-    for _ in range(n + 1):
-        before = d.copy()
-        for k in range(n):
-            np.minimum(d, d[:, k:k + 1] + d[k:k + 1, :], out=d)
-        if np.array_equal(before, d):
-            break
+    with np.errstate(over="ignore"):  # an overflowing sum is +inf, never the minimum
+        for _ in range(n + 1):
+            before = d.copy()
+            for k in range(n):
+                np.minimum(d, d[:, k:k + 1] + d[k:k + 1, :], out=d)
+            if np.array_equal(before, d):
+                break
     return d
 
 

@@ -3,7 +3,9 @@
 Producers are exact up to rounding: the retraction onto the hull has no
 stopping tolerance.  Validation, ampleness and deduplication allow 1e-9,
 and certification of minimality two orders of magnitude more, so a consumer
-never flakes on the producer's float noise.
+never flakes on the producer's float noise.  Rounding grows with the values
+rounded, so ampleness, minimality and hull-net validation floor their slack
+at 4 eps times the scale (``slack``), which passes 1e-9 above about 1.1e6.
 """
 
 TRIANGLE_TOL = 1e-9        # tau_tri: slack for the triangle axiom in validation
@@ -11,6 +13,11 @@ AMPLE_TOL = 1e-9           # slack for d(x,y) <= f2(x) + f1(y)
 CERTIFICATION_TOL = 1e-7   # residual below which a pair counts as minimal
 DEDUP_TOL = 1e-9           # hull samples closer than this (sym distance) merge
 PRODUCT_CAP = 10_000       # refuse product spaces with more points than this
+
+
+def slack(tol: float, scale: float) -> float:
+    """tol, floored at 4 eps * scale: the rounding of values up to scale."""
+    return max(tol, 4.0 * 2.0 ** -52 * scale)  # eps = 2 ** -52
 
 
 def ledger():

@@ -26,7 +26,7 @@ from qmet import (
 )
 from qmet import coarse, pairs
 from qmet.errors import IndexOutOfRange, InfeasibleFamily, NotMinimal, NotNonexpansive
-from qmet.pairs import AmplePair
+from qmet.pairs import AmplePair, ample_completion
 from helpers import (
     qspaces,
     reference_evaluate_boxes,
@@ -125,6 +125,14 @@ def test_family_violation_matches_double_loop(case, tol):
     assert family_violation(X, F, tol) == reference_family_violation(X, F, tol)
 
 
+def test_find_center_rounds_as_the_z_loop():
+    # z = 1 is inside: 2 <= 1.999999999999 + 0 + 1e-12, which rounds to 2,
+    # though 2 - 1.999999999999 rounds above 1e-12
+    X = QSpace([[0.0, 1.0], [2.0, 0.0]])
+    F = BallFamily(((0, 1.0, 1.999999999999), (1, 1e-12, 0.0)))
+    assert find_center(X, F, 0.0) == reference_find_center(X, F, 0.0) == 1
+
+
 @given(families(), st.sampled_from([0.0, 0.25, 1.0]), st.floats(0.0, 3.0))
 @settings(max_examples=200)
 def test_find_center_matches_z_loop(case, offset, delta):
@@ -169,6 +177,15 @@ class TestFamilyFromHullPoint:
     def test_requires_minimal(self):
         with pytest.raises(NotMinimal):
             family_from_hull_point(S, AmplePair(S, [2, 2], [2, 2]))
+
+    def test_certified_flag_is_not_trusted(self):
+        # an ample completion that is not minimal: trusting the flag gave a
+        # family with min_delta 0.414 while the pair sits 0.702 from the
+        # embedded space
+        X = random_qspace(4, np.random.default_rng(1))
+        f = ample_completion(X, np.full(4, X.diam))
+        with pytest.raises(NotMinimal):
+            family_from_hull_point(X, AmplePair(X, f.f1, f.f2, certified_minimal=True))
 
     def test_bisection_matches_embedding_gap(self):
         # two independent routes to the least delta of a hull point's family

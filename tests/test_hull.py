@@ -377,6 +377,14 @@ def test_nets_validate_at_any_scale(scale):
         assert np.array_equal(Q.d[: X.n, : X.n], X.d)
 
 
+def test_certified_points_are_minimal_at_scale():
+    # ampleness and minimality floor their slack at 4 eps diam; at the
+    # absolute 1e-9 and 1e-7, in_hull raised NotAmple on 2 of these points
+    X = random_qspace(5, np.random.default_rng(0), scale=1e9)
+    H = sample_hull(X, 100, 0)
+    assert all(in_hull(p) for p in H.points)
+
+
 def test_net_slack_stays_absolute_at_unit_scale():
     # a space accepted at a looser tolerance carries its 1e-6 triangle
     # excess into the net's base block; at scale 1 the net is checked at

@@ -540,15 +540,19 @@ class TestCLI:
         assert code == 2 and witnesses and err.splitlines()[1:] == witnesses
 
     def test_sums_past_float_range_are_silent(self, capsys, tmp_path):
-        # triangle sums and ampleness gaps overflow to +inf, which changes no
-        # verdict and must print no warning
+        # triangle sums, ampleness gaps and delta's box centres overflow to
+        # +inf or are halved first, which changes no verdict and must print
+        # no warning
         p = tmp_path / "huge.json"
         p.write_text('{"d": [[0, 1e308, 1e308], [1e308, 0, 1e308], [1e308, 1e308, 0]]}')
+        q = tmp_path / "wide.json"
+        q.write_text('{"d": [[0, 1.5e308], [1.6e308, 0]]}')
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for argv in (["validate", str(p)], ["hull", str(p), "--samples", "0"]):
-                code, out, err = self.run(capsys, *argv)
-                assert code == 0 and out and err == ""
+            for f in (str(p), str(q)):
+                for argv in (["validate", f], ["hull", f, "--samples", "0"], ["delta", f]):
+                    code, out, err = self.run(capsys, *argv)
+                    assert code == 0 and out and err == ""
 
     def test_unknown_demo_message(self, capsys):
         code, out, err = self.run(capsys, "demo", "frob")

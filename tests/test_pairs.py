@@ -24,7 +24,7 @@ from qmet.errors import (
     SpaceMismatch,
     SubsetMismatch,
 )
-from qmet.hull import HullSample, _net_matrix
+from qmet.hull import HullSample, _net_matrix, sample_hull
 from qmet.pairs import (
     AmplePair,
     ample_completion,
@@ -251,6 +251,23 @@ class TestExtend:
         sub = restrict(L3, [0, 2])
         with pytest.raises(NotMinimal):
             extend_from_subspace(L3, [0, 2], AmplePair(sub, [4, 4], [4, 4]))
+
+    def test_certified_flag_is_not_trusted(self):
+        # minimality is measured on every call: the flag once skipped it,
+        # and only the later drift check rejected the pair
+        sub = restrict(L3, [0, 2])
+        fat = AmplePair(sub, [4, 4], [4, 4], certified_minimal=True)
+        with pytest.raises(NotMinimal, match="requires a minimal pair"):
+            extend_from_subspace(L3, [0, 2], fat)
+
+    def test_extension_at_scale(self):
+        # the drift check floors its slack at 4 eps diam, as in_hull does;
+        # at the absolute 1e-7 three of these extensions raised NotMinimal
+        X = random_qspace(6, np.random.default_rng(0), scale=1e9)
+        sub = [0, 2, 3, 5]
+        for f in sample_hull(restrict(X, sub), 60, 0).points:
+            out = extend_from_subspace(X, sub, f)
+            assert in_hull(out)
 
     def test_subset_mismatch(self):
         sub = restrict(L3, [0, 1])

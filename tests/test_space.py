@@ -21,7 +21,7 @@ from qmet import (
     symmetrize,
     validate,
 )
-from qmet.space import VIOLATION_CAP, Violation, _candidates
+from qmet.space import VIOLATION_CAP, Violation, _candidates, triangle_closure
 from qmet.tolerances import TRIANGLE_TOL
 from qmet.errors import (
     EmptySubset,
@@ -112,6 +112,14 @@ class TestValidate:
 
     def test_metric_flag(self):
         assert validate(M2.d).is_metric
+
+    def test_closure_past_float_range(self):
+        # a path sum past the float range is +inf, never the minimum, and
+        # raises no overflow warning
+        d = [[0.0, 1.5e308], [1.6e308, 0.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(triangle_closure(d), d)
 
     def test_bad_candidates(self):
         with pytest.raises(NonSquareMatrix):

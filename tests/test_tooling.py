@@ -123,6 +123,19 @@ def test_one_distortion_kernel():
     assert found == {"gh.distortion", "gh._seed", "gh.verify_rough_isometry", "hull.net_gh_upper"}
 
 
+def test_one_retraction_kernel():
+    # a hull net's candidates, fresh or perturbed, and the net GH bound's
+    # snapping reach the hull through pairs.retract_points, so hull.py
+    # keeps no conjugation kernel of its own
+    found = {
+        owner
+        for path in sorted(SRC.glob("*.py"))
+        for owner, name in _owned_calls(path)
+        if name == "retract_points"
+    }
+    assert found == {"hull.sample_hull", "hull._retract_rows"}
+
+
 def test_schemas_list_the_ledger():
     # every --json envelope carries ledger() under "tolerances"; each schema
     # copies its keys by hand, so a key added to the ledger must reach them all
