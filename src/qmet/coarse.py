@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InfeasibleFamily, NotMinimal, NotNonexpansive
 from .pairs import AmplePair, dquasi, dsym, in_hull, retract, row_blocks
 from .space import QSpace, map_table
-from .tolerances import AMPLE_TOL
+from .tolerances import AMPLE_TOL, slack
 
 NONEXPANSIVE_TOL = 1e-9
 
@@ -48,12 +48,14 @@ def _arrays(X: QSpace, F: BallFamily):
 def family_violation(X: QSpace, F: BallFamily, tol: float = AMPLE_TOL):
     """Worst feasibility violation (i, j, d(x_i, x_j) - r_i - s_j), or None.
 
-    The witness is the first worst (i, j) in row-major order.  Raises
-    IndexOutOfRange when an entry names no point of X.
+    An excess counts when it passes ``slack(tol, diam)``, the slack with
+    which ``is_ample`` tests the same inequality.  The witness is the first
+    worst (i, j) in row-major order.  Raises IndexOutOfRange when an entry
+    names no point of X.
     """
     xs, rs, ss = _arrays(X, F)
     excess = X.d[np.ix_(xs, xs)] - rs[:, None] - ss
-    if not excess.max(initial=-np.inf) > tol:
+    if not excess.max(initial=-np.inf) > slack(tol, X.diam):
         return None
     i, j = np.unravel_index(np.argmax(excess), excess.shape)
     return int(i), int(j), float(excess[i, j])
@@ -150,9 +152,10 @@ def estimate_delta(
     nor a zero diagonal: the bracket holds on every accepted space.  Boxes
     bounded by ``lower`` are dropped and the highest halved along their
     widest side, until none is left or no two more fit in the budget of
-    ``samples`` evaluated boxes; ``upper`` is the largest bound left plus four
-    ulps of the diameter for rounding.  The refinement is deterministic:
-    ``restarts`` and ``seed`` are accepted and ignored.
+    ``samples`` evaluated boxes; ``upper`` is the largest bound left plus
+    ``slack(0, diam)``, four eps of the diameter, for rounding.  The
+    refinement is deterministic: ``restarts`` and ``seed`` are accepted and
+    ignored, as perfbench's traced replays still pass them.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -174,7 +177,7 @@ def estimate_delta(
         A2, B2 = A.copy(), B.copy()
         A2[side] = B2[side] = A[side] / 2.0 + B[side] / 2.0
         A, B = np.concatenate([A, A2]), np.concatenate([B2, B])
-    upper = float(top.max(initial=lower) + 4.0 * np.finfo(float).eps * max(X.diam, 1.0))
+    upper = float(top.max(initial=lower) + slack(0.0, X.diam))
     return DeltaEstimate(lower, upper, samples, boxes)
 
 

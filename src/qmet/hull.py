@@ -45,22 +45,21 @@ class HullSample:
 def sample_hull(X: QSpace, k: int, seed: int = 0) -> HullSample:
     """Draw k hull candidates and keep the distinct certified ones.
 
-    Half the candidates are fresh: g uniform in [0, 2 diam]^n, sent to the
-    hull by the exact two-step retraction g -> (flat(star(g)), star(g)), all
-    at once.  The rest perturb the f1 of already accepted members by bounded
-    bumps and retract again, one row at a time; both halves retract through
-    ``pairs.retract_points``.  The bump radius starts at 0.25 diam and halves
-    whenever a perturbation collapses onto an existing point.  The point
-    embeddings are always included (first).  The kept points form one pool, a
-    (2n, n + k) stack with the point axis first: column j is (f1, f2) of point
-    j.  One dedup rule serves every candidate, fresh or perturbed, in draw
-    order: its gap is its least sym-distance to the pool's live columns, one
-    subtraction, and it is kept when the gap exceeds DEDUP_TOL.  ``spread`` is
-    the least gap of a kept point, or between embeddings.  Residuals are
-    measured once, at the end, for the kept points only.  The fresh retraction
-    and the residuals run in row blocks of n * n floats a row
-    (``pairs.row_blocks``).  SizeOverflow when k > 0 and 2 diam overflows a
-    float.
+    Half the candidates are fresh: g uniform in [0, 2 diam]^n.  The rest
+    perturb the f1 of bases drawn uniformly from the embeddings and the kept
+    fresh points by bumps uniform in [-r, r]^n, r = 0.25 diam, clamped at 0;
+    the generator draws the fresh g, then the bases, then the bumps.  Each
+    half goes to the hull as one batch by the exact two-step retraction
+    g -> (flat(star(g)), star(g)), in row blocks of n * n floats a row
+    (``pairs.row_blocks``).  The point embeddings are always included
+    (first).  The kept points form one pool, a (2n, n + k) stack with the
+    point axis first: column j is (f1, f2) of point j.  One dedup rule serves
+    every candidate, fresh or perturbed, in draw order: its gap is its least
+    sym-distance to the pool's live columns, one subtraction, and it is kept
+    when the gap exceeds DEDUP_TOL.  ``spread`` is the least gap of a kept
+    point, or between embeddings.  Residuals are measured once, at the end,
+    for the kept points only, in the same row blocks.  SizeOverflow when
+    k > 0 and 2 diam overflows a float.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -77,27 +76,24 @@ def sample_hull(X: QSpace, k: int, seed: int = 0) -> HullSample:
     np.fill_diagonal(gaps, np.inf)
     spread, m = gaps.min(), n
 
-    R = X.diam
-    if k > 0 and R > 0.0:
-        n_fresh = (k + 1) // 2
-        fresh = _retract_rows(d, rng.uniform(0.0, 2.0 * R, size=(n_fresh, n)))
-
-        radius = PERTURB_RADIUS_FACTOR * R
-        floor = R * 2.0 ** -30
-        for i in range(k):
-            if i < n_fresh:
-                pool[:, m] = fresh[i]
-            else:
-                base = int(rng.integers(0, m))
-                g1 = np.maximum(pool[:n, base] + rng.uniform(-radius, radius, size=n), 0.0)
-                pool[:n, m], pool[n:, m] = retract_points(d, g1)
+    def keep(G):
+        nonlocal spread, m
+        for g in G:
+            pool[:, m] = g
             D = pool[:, :m] - pool[:, m, None]
             gap = np.minimum.reduce(np.maximum.reduce(np.abs(D, out=D), axis=0))
             if gap > DEDUP_TOL:
                 spread = min(spread, gap)
                 m += 1
-            elif i >= n_fresh and radius > floor:
-                radius /= 2.0
+
+    R = X.diam
+    if k > 0 and R > 0.0:
+        n_fresh = (k + 1) // 2
+        keep(_retract_rows(d, rng.uniform(0.0, 2.0 * R, size=(n_fresh, n))))
+        bases = pool[:n, rng.integers(0, m, size=k - n_fresh)].T
+        radius = PERTURB_RADIUS_FACTOR * R
+        bumps = rng.uniform(-radius, radius, size=bases.shape)
+        keep(_retract_rows(d, np.maximum(bases + bumps, 0.0)))
 
     F1, F2 = pool[:n, n:m].T, pool[n:, n:m].T
     for s in row_blocks(m - n, n * n):

@@ -17,7 +17,7 @@ from qmet.pairs import (
     retract_points,
     star,
 )
-from qmet.tolerances import AMPLE_TOL, DEDUP_TOL
+from qmet.tolerances import AMPLE_TOL, DEDUP_TOL, slack
 
 
 @st.composite
@@ -300,8 +300,10 @@ def reference_net_matrix(H):
 
 def reference_sample_hull(X, k, seed=0):
     """The sampler that ``sample_hull`` replaced, kept as its reference: one
-    candidate at a time against the whole pool, a residual and an AmplePair
-    per candidate, and the spread from the full (m, m, n) gap stack."""
+    candidate at a time against the whole pool, each perturbed candidate
+    retracted on its own, a residual and an AmplePair per candidate, and the
+    spread from the full (m, m, n) gap stack.  The generator draws as
+    ``sample_hull`` does: the fresh g, then the bases, then the bumps."""
     if k < 0:
         raise ValueError("k must be >= 0")
     rng = np.random.default_rng(seed)
@@ -314,13 +316,11 @@ def reference_sample_hull(X, k, seed=0):
 
     def try_add(f1, f2, res):
         m = len(points)
-        if dsym(B1[:m], B2[:m], f1, f2).min() <= DEDUP_TOL:
-            return False
-        points.append(
-            AmplePair(X, f1, f2, certified_minimal=True, certified_tol=float(res))
-        )
-        B1[m], B2[m] = f1, f2
-        return True
+        if dsym(B1[:m], B2[:m], f1, f2).min() > DEDUP_TOL:
+            points.append(
+                AmplePair(X, f1, f2, certified_minimal=True, certified_tol=float(res))
+            )
+            B1[m], B2[m] = f1, f2
 
     if k > 0 and R > 0.0:
         n_fresh = (k + 1) // 2
@@ -329,14 +329,12 @@ def reference_sample_hull(X, k, seed=0):
         for i in range(n_fresh):
             try_add(P1[i], P2[i], res[i])
 
+        bases = rng.integers(0, len(points), size=k - n_fresh)
         radius = PERTURB_RADIUS_FACTOR * R
-        floor = R * 2.0 ** -30
-        for _ in range(k - n_fresh):
-            base = int(rng.integers(0, len(points)))
-            g1 = np.maximum(B1[base] + rng.uniform(-radius, radius, size=X.n), 0.0)
-            p1, p2, res = retract(X.d, g1)
-            if not try_add(p1, p2, res) and radius > floor:
-                radius /= 2.0
+        bumps = rng.uniform(-radius, radius, size=(k - n_fresh, X.n))
+        for base, bump in zip(bases, bumps):
+            p1, p2, res = retract(X.d, np.maximum(B1[base] + bump, 0.0))
+            try_add(p1, p2, res)
 
     F1, F2 = B1[: len(points)], B2[: len(points)]
     gaps = dsym(F1[:, None, :], F2[:, None, :], F1, F2)
@@ -401,8 +399,8 @@ def reference_candidates(X, Y, tol):
 
 def reference_family_violation(X, F, tol=AMPLE_TOL):
     """The double loop that ``family_violation`` replaced: the first worst
-    (i, j) in loop order."""
-    worst = None
+    (i, j) in loop order, of the excesses past slack(tol, diam)."""
+    tol, worst = slack(tol, X.diam), None
     for i, (xi, ri, _) in enumerate(F.entries):
         for j, (xj, _, sj) in enumerate(F.entries):
             excess = X.d[xi, xj] - ri - sj

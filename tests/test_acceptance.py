@@ -249,9 +249,9 @@ def test_c07_hull_stability_net_check():
 
 def test_c08_delta_constants():
     t0 = time.time()
-    s = estimate_delta(demo_space("sierpinski"), samples=200, restarts=6, seed=8)
-    m = estimate_delta(demo_space("metric2"), samples=200, restarts=6, seed=8)
-    p = estimate_delta(POINT, samples=5, restarts=2, seed=8)
+    s = estimate_delta(demo_space("sierpinski"), samples=200)
+    m = estimate_delta(demo_space("metric2"), samples=200)
+    p = estimate_delta(POINT, samples=5)
     elapsed = time.time() - t0
     ok = (
         0.48 <= s.lower <= 0.50

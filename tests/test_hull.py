@@ -22,7 +22,7 @@ from qmet import (
 from qmet import pairs
 from qmet.errors import LengthMismatch, NotMetric, QmetError, ValidationError
 from qmet.hull import HullSample, _net_matrix
-from qmet.pairs import AmplePair, embed_point, is_ample, row_blocks
+from qmet.pairs import AmplePair, dsym, embed_point, is_ample, row_blocks
 from helpers import (
     perturbed_space,
     qspaces,
@@ -88,6 +88,31 @@ class TestSampleHull:
                 for y in range(X.n):
                     assert p.f1[x] - p.f1[y] <= X.d[y, x] + 1e-9
                     assert p.f2[x] - p.f2[y] <= X.d[x, y] + 1e-9
+
+    @pytest.mark.parametrize(
+        "X, per_axis",
+        [
+            (M2, 101),
+            (demo_space("line3"), 41),
+            (random_qspace(3, np.random.default_rng(301)), 41),
+        ],
+        ids=["metric2", "line3", "random3"],
+    )
+    def test_nets_cover_the_hull(self, X, per_axis):
+        # retract is 1-Lipschitz from the sup norm to Dsym and maps
+        # [0, diam]^n onto the hull, so the images of a grid of spacing h
+        # cover the hull within h / 2; each lies near every 400-candidate net
+        axis = np.linspace(0.0, X.diam, per_axis)
+        G = np.stack(np.meshgrid(*[axis] * X.n), axis=-1).reshape(-1, X.n)
+        P1, P2 = pairs.retract_points(X.d, G)
+        P1, P2 = P1[:, None, :], P2[:, None, :]
+        for seed in range(4):
+            F1, F2 = sample_hull(X, 400, seed).arrays
+            worst = max(
+                dsym(P1[lo : lo + 256], P2[lo : lo + 256], F1, F2).min(axis=1).max()
+                for lo in range(0, len(G), 256)
+            )
+            assert worst <= 0.25 * X.diam
 
 
 class TestHullAsQSpace:
@@ -168,12 +193,12 @@ class TestDiagonal:
 class TestNetGHUpper:
     def test_pinned_value(self):
         # pinned to the bound that snaps each net through the exact
-        # two-step retract
+        # two-step retract, on nets of the one-batch sampler
         rng = np.random.default_rng(4)
         X = random_qspace(5, rng)
         Y = perturbed_space(X, rng, 0.1)
         value = net_gh_upper(sample_hull(X, 40, seed=1), sample_hull(Y, 40, seed=2))
-        assert value == 0.22485157141525347
+        assert value == 0.22037844551877556
 
     def test_spaces_on_different_index_sets_are_typed(self):
         rng = np.random.default_rng(4)
@@ -183,13 +208,13 @@ class TestNetGHUpper:
 
 
 def test_pinned_net():
-    # every net point and the spread, as drawn before the pool grew in place
-    # and the kernel reduced over a leading point axis
+    # every net point and the spread, with the generator drawing the fresh
+    # candidates, then the bases, then the bumps; reference_sample_hull agrees
     H = sample_hull(random_qspace(4, np.random.default_rng(5)), 400, seed=3)
     F = np.stack([[p.f1 for p in H.points], [p.f2 for p in H.points]])
-    assert F.shape == (2, 369, 4)
+    assert F.shape == (2, 366, 4)
     digest = hashlib.sha256(F.tobytes()).hexdigest()
-    assert digest == "a31eac6456e4af088af72195955a72ba6cbdb60b71eba0e039d874d6180a0bd0"
+    assert digest == "528b4ffd2d9453042318d2bec091d17a0e425b91309ebf312e9ea08cf6363b4e"
     assert H.spread == 2.805247637743813e-05
 
 
@@ -232,8 +257,9 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_c07_shaped_pairs_are_identical(self, seed):
-        # n = 4 and k = 400 as in c07: about 200 one-row perturbation steps
-        # with radius halving, and nets of several net-kernel row blocks
+        # n = 4 and k = 400 as in c07: a perturbation batch of 200 rows,
+        # deduplicated one candidate at a time against the reference, and
+        # nets of several net-kernel row blocks
         rng = np.random.default_rng(7007 + seed)
         X = random_qspace(4, rng)
         Y = perturbed_space(X, rng, 0.08 * X.diam)

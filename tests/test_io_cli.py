@@ -583,7 +583,7 @@ class TestCLI:
 
         args = ("--samples", "40", "--restarts", "2", "--seed", "3")
         code, payload = payload_of("delta", demo_files["runit5"], *args)
-        est = estimate_delta(X, samples=40, restarts=2, seed=3)
+        est = estimate_delta(X, samples=40)
         assert code == 0 and payload == plain(asdict(est))
 
         A, B = parse_space(demo_files["sierpinski"]), parse_space(demo_files["runit5"])

@@ -125,15 +125,16 @@ def test_one_distortion_kernel():
 
 def test_one_retraction_kernel():
     # a hull net's candidates, fresh or perturbed, and the net GH bound's
-    # snapping reach the hull through pairs.retract_points, so hull.py
-    # keeps no conjugation kernel of its own
+    # snapping reach the hull through pairs.retract_points in the row
+    # blocks of hull._retract_rows, so hull.py keeps no conjugation kernel
+    # of its own and retracts no row at a time
     found = {
         owner
         for path in sorted(SRC.glob("*.py"))
         for owner, name in _owned_calls(path)
         if name == "retract_points"
     }
-    assert found == {"hull.sample_hull", "hull._retract_rows"}
+    assert found == {"hull._retract_rows"}
 
 
 def test_schemas_list_the_ledger():
