@@ -38,7 +38,7 @@ from .gh import (
     verify_rough_isometry,
 )
 from .hull import hull_as_qspace, sample_hull
-from .space import dualize
+from .space import conjugate, symmetrize
 from .tolerances import TRIANGLE_TOL, ledger
 
 EXIT_OK = 0
@@ -50,6 +50,8 @@ MAX_SAMPLES = 10**6
 MAX_MATRIX_POINTS = 2000
 
 Report = tuple[int, dict, list[str]]  # (exit code, JSON payload, human lines)
+# transform's modes; the keys are also --mode's choices
+TRANSFORMS = {"conjugate": conjugate, "symmetrize": symmetrize}
 
 
 def _fmt(v: float) -> str:
@@ -90,7 +92,7 @@ def cmd_validate(args) -> Report:
 
 
 def cmd_transform(args) -> Report:
-    Y = dualize(_load(args.space, args), args.mode)
+    Y = TRANSFORMS[args.mode](_load(args.space, args))
     if args.out:
         Path(args.out).write_text(qio.space_to_json(Y))
     payload = {
@@ -258,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("transform", cmd_transform, help="conjugate or symmetrize a space")
     p.add_argument("space")
-    p.add_argument("--mode", choices=["conjugate", "symmetrize"], required=True)
+    p.add_argument("--mode", choices=list(TRANSFORMS), required=True)
     p.add_argument("--out")
 
     p = add("hull", cmd_hull, help="sample a certified net of the hull")

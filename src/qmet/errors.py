@@ -69,10 +69,6 @@ class SubsetMismatch(QmetError):
     pass
 
 
-class NotMetric(QmetError):
-    pass
-
-
 class NotACorrespondence(QmetError):
     """Relation misses a point; records which side and which index."""
 

@@ -12,11 +12,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import LengthMismatch, NotMetric, SizeOverflow
+from .errors import LengthMismatch, SizeOverflow
 from .gh import _distortion
 from .pairs import AmplePair, dsym, embed_point, residual, retract_points, row_blocks
 from .space import QSpace
-from .tolerances import CERTIFICATION_TOL, DEDUP_TOL, TRIANGLE_TOL, slack
+from .tolerances import DEDUP_TOL, TRIANGLE_TOL, slack
 
 PERTURB_RADIUS_FACTOR = 0.25
 
@@ -184,36 +184,6 @@ def hull_as_qspace(H: HullSample) -> QSpace:
     ]
     D = _net_matrix(H)
     return QSpace(D, labels, tol=slack(TRIANGLE_TOL, D.max()))
-
-
-@dataclass(frozen=True)
-class DiagonalReport:
-    n_diagonal: int
-    n_off_diagonal: int
-    max_minimality_residual: float
-    max_metric_discrepancy: float
-
-
-def metric_diag_check(X: QSpace, H: HullSample, tol: float = CERTIFICATION_TOL) -> DiagonalReport:
-    """On a metric space, audit the samples with equal components.
-
-    Pairs with f1 = f2 (within tol) form the metric tight span sitting inside
-    the hull; for those, minimality must hold and the symmetrized hull
-    distance must equal the sup-norm of the function difference.
-    """
-    if not X.classification.satisfies_M3:
-        raise NotMetric("diagonal check requires a symmetric space")
-    F1, F2 = H.arrays
-    diag = np.abs(F1 - F2).T.max(axis=0) <= tol
-    D1, D2 = F1[diag], F2[diag]
-    worst_res = worst_disc = 0.0
-    if len(D1):
-        worst_res = float(residual(X.d, D1, D2).max())
-        # dsym of the pairs (f1, f1) and (g1, g1) is the sup norm of f1 - g1
-        sup = dsym(D1[:, None, :], D1[:, None, :], D1, D1)
-        sym = dsym(D1[:, None, :], D2[:, None, :], D1, D2)
-        worst_disc = float(np.abs(sym - sup).max())
-    return DiagonalReport(len(D1), len(F1) - len(D1), worst_res, worst_disc)
 
 
 def net_gh_upper(HX: HullSample, HY: HullSample) -> float:

@@ -165,16 +165,6 @@ def retract(d: np.ndarray, G: np.ndarray):
     return P1, P2, dsym(P1, P2, S1, star(d, P1))
 
 
-def double_conjugate(f: AmplePair) -> AmplePair:
-    """The pair f* = (sup_y(d(y,.) - f2(y))+, sup_y(d(.,y) - f1(y))+).
-
-    For ample f this satisfies f* <= f, with equality exactly on the hull.
-    f* itself need not be ample.
-    """
-    _require_ample(f)
-    return AmplePair(f.space, flat(f.space.d, f.f2), star(f.space.d, f.f1))
-
-
 def project_arrays(space: QSpace, F1: np.ndarray, F2: np.ndarray):
     """Batched hull projection of ample pairs; returns (P1, P2, residuals).
 

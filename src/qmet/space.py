@@ -27,10 +27,9 @@ from .errors import (
     NonFiniteEntry,
     NonSquareMatrix,
     NotIncreasing,
-    SizeOverflow,
     ValidationError,
 )
-from .tolerances import PRODUCT_CAP, TRIANGLE_TOL
+from .tolerances import TRIANGLE_TOL
 
 VIOLATION_CAP = 100
 
@@ -212,33 +211,10 @@ def symmetrize(X: QSpace) -> QSpace:
     return QSpace(np.maximum(X.d, X.d.T), X.labels)
 
 
-def dualize(X: QSpace, mode: str) -> QSpace:
-    """Dispatch on mode: 'conjugate' transposes, 'symmetrize' takes max(d, d^T)."""
-    if mode == "conjugate":
-        return conjugate(X)
-    if mode == "symmetrize":
-        return symmetrize(X)
-    raise ValueError(f"unknown dualize mode {mode!r}")
-
-
 def restrict(X: QSpace, subset) -> QSpace:
     idx = subset_indices(X, subset)
     sub = X.d[np.ix_(idx, idx)]
     return QSpace(sub, [X.labels[i] for i in idx])
-
-
-def product_sup(X: QSpace, Y: QSpace, cap: int = PRODUCT_CAP) -> QSpace:
-    """Product space with d((x,y),(x',y')) = max(d_X(x,x'), d_Y(y,y')).
-
-    Point (i, j) gets flat index i * Y.n + j and label "(lx,ly)".
-    """
-    if X.n * Y.n > cap:
-        raise SizeOverflow(f"product would have {X.n * Y.n} points (cap {cap})")
-    d = np.maximum(
-        np.kron(X.d, np.ones((Y.n, Y.n))), np.kron(np.ones((X.n, X.n)), Y.d)
-    )
-    labels = [f"({lx},{ly})" for lx in X.labels for ly in Y.labels]
-    return QSpace(d, labels)
 
 
 def hausdorff(X: QSpace, A, B, mode: str = "q") -> float:
@@ -264,35 +240,6 @@ def largeness_constant(X: QSpace, Y) -> float:
     """Least eps such that every point of X is within sym-distance eps of Y."""
     iy = subset_indices(X, Y)
     return float(X.dsym[:, iy].min(axis=1).max())
-
-
-def metric_convexity_defect(X: QSpace) -> float:
-    """How far X is from being metrically convex; 0 iff convex.
-
-    For each pair (x, y) and split r + s = d(x, y) the best midpoint cost is
-    min over z of max((d(x,z) - r)+, (d(z,y) - s)+); the defect is the worst
-    split of the worst pair.  The objective is piecewise linear in r, so the
-    sup over splits is attained at a kink of one branch or at a crossing of an
-    increasing and a decreasing branch; all candidates are enumerated exactly.
-    """
-    d = X.d
-    worst = 0.0
-    for x, y in zip(*np.nonzero(d > 0.0)):
-        D, out_leg, in_leg = d[x, y], d[x, :], d[:, y]
-        # kinks of each branch, and crossings of branch (d(x,z2) - r) with
-        # branch (d(z1,y) - (D - r))
-        cross = (out_leg[None, :] + D - in_leg[:, None]) / 2.0
-        r = np.concatenate([[0.0, D], out_leg, D - in_leg, cross.ravel()])
-        r = np.clip(r, 0.0, D)[:, None]
-        val = np.maximum(np.maximum(out_leg - r, 0.0), np.maximum(in_leg - (D - r), 0.0))
-        worst = max(worst, float(val.min(axis=1).max()))
-    return worst
-
-
-def asym_defect(X: QSpace) -> float:
-    """max |d(x,y) - d(y,x)| / 2: a floor on eps for any sym-rough isometry
-    of X into a metric space."""
-    return float(np.abs(X.d - X.d.T).max() / 2.0)
 
 
 def _candidates(X: QSpace, Y: QSpace, tol: float) -> list[list[int]]:

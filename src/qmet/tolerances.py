@@ -12,7 +12,6 @@ TRIANGLE_TOL = 1e-9        # tau_tri: slack for the triangle axiom in validation
 AMPLE_TOL = 1e-9           # slack for d(x,y) <= f2(x) + f1(y)
 CERTIFICATION_TOL = 1e-7   # residual below which a pair counts as minimal
 DEDUP_TOL = 1e-9           # hull samples closer than this (sym distance) merge
-PRODUCT_CAP = 10_000       # refuse product spaces with more points than this
 
 
 def slack(tol: float, scale: float) -> float:

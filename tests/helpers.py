@@ -421,34 +421,3 @@ def reference_find_center(X, F, delta, atol=1e-12):
         ).all():
             return z
     return None
-
-
-def reference_convexity_defect(X):
-    """The per-candidate loop that ``metric_convexity_defect`` replaced: a
-    set of candidate splits per pair, each evaluated on its own."""
-    d = X.d
-    n = X.n
-    worst = 0.0
-    for x in range(n):
-        for y in range(n):
-            D = d[x, y]
-            if D <= 0.0:
-                continue
-            cands = {0.0, D}
-            for z in range(n):
-                cands.add(d[x, z])
-                cands.add(D - d[z, y])
-            out_leg = d[x, :]
-            in_leg = d[:, y]
-            # crossings of branch (d(x,z2) - r) with branch (d(z1,y) - (D - r))
-            cross = (out_leg[None, :] + D - in_leg[:, None]) / 2.0
-            cands.update(cross.ravel().tolist())
-            for r in cands:
-                r = min(max(r, 0.0), D)
-                s = D - r
-                val = np.maximum(
-                    np.maximum(out_leg - r, 0.0), np.maximum(in_leg - s, 0.0)
-                ).min()
-                if val > worst:
-                    worst = float(val)
-    return worst

@@ -312,6 +312,16 @@ class TestDeltaBracket:
         est = estimate_delta(X, samples=200)
         assert est.lower <= 0.5 * X.diam <= est.upper <= est.lower + 1e-12 * X.diam
 
+    def test_survey_brackets_hold_the_analytic_constants(self):
+        # scripts/delta_survey.py exits 1 when a demo's bracket misses its
+        # derived constant; runit5 reads [0.125, 0.25] at 300 samples
+        spec = importlib.util.spec_from_file_location(
+            "delta_survey", Path(__file__).resolve().parents[1] / "scripts" / "delta_survey.py"
+        )
+        survey = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(survey)
+        assert survey.run(survey.Config(samples=300, random_spaces=0)) == 0
+
     @given(SMALL_SPACES, st.integers(0, 10_000))
     @settings(max_examples=15)
     def test_hull_distance_to_embedding_is_diagonal_max(self, X, seed):

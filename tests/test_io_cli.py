@@ -230,6 +230,19 @@ class TestCLI:
         assert code == 0
         assert payload["space"]["d"] == [[0.0, 1.0], [1.0, 0.0]]
 
+    def test_transform_modes(self, capsys, demo_files):
+        # --mode picks its transform from cli.TRANSFORMS; argparse refuses others
+        want = {"conjugate": [[0.0, 1.0], [0.0, 0.0]], "symmetrize": [[0.0, 1.0], [1.0, 0.0]]}
+        assert list(cli.TRANSFORMS) == list(want)
+        for mode, d in want.items():
+            code, payload = self.check_json(
+                capsys, "transform", "transform", demo_files["sierpinski"], "--mode", mode, "--json"
+            )
+            assert code == 0 and payload["mode"] == mode and payload["space"]["d"] == d
+        with pytest.raises(SystemExit) as err:
+            dispatch(["transform", demo_files["sierpinski"], "--mode", "flip"])
+        assert err.value.code == 2
+
     def test_hull_json_schema(self, capsys, demo_files):
         code, payload = self.check_json(
             capsys,

@@ -6,7 +6,6 @@ import hypothesis.strategies as st
 from qmet import (
     QSpace,
     demo_space,
-    double_conjugate,
     embed_point,
     extend_from_subspace,
     in_hull,
@@ -73,32 +72,27 @@ class TestAmpleness:
 
 
 class TestDoubleConjugate:
+    # the double conjugate of f is (flat(d, f2), star(d, f1))
     def test_interior_fixed_point(self):
         f = AmplePair(S, [0.3, 0.0], [0.0, 0.7])
-        s = double_conjugate(f)
-        assert np.allclose(s.f1, f.f1) and np.allclose(s.f2, f.f2)
+        assert np.allclose(flat(S.d, f.f2), f.f1) and np.allclose(star(S.d, f.f1), f.f2)
 
     def test_embedding_fixed(self):
         for x in range(L3.n):
             q = embed_point(L3, x)
-            s = double_conjugate(q)
-            assert np.allclose(s.f1, q.f1, atol=1e-12)
-            assert np.allclose(s.f2, q.f2, atol=1e-12)
+            assert np.allclose(flat(L3.d, q.f2), q.f1, atol=1e-12)
+            assert np.allclose(star(L3.d, q.f1), q.f2, atol=1e-12)
 
     def test_constant_pair_collapses(self):
-        s = double_conjugate(AmplePair(S, [2, 2], [2, 2]))
-        assert s.f1.tolist() == [0, 0] and s.f2.tolist() == [0, 0]
-
-    def test_requires_ample(self):
-        with pytest.raises(NotAmple):
-            double_conjugate(AmplePair(S, [0, 0], [0, 0]))
+        f = AmplePair(S, [2, 2], [2, 2])
+        assert flat(S.d, f.f2).tolist() == [0, 0] and star(S.d, f.f1).tolist() == [0, 0]
 
     @given(qspaces(), st.integers(0, 2 ** 31 - 1))
     def test_below_input_and_average_ample(self, X, seed):
         f = random_ample_pair(X, np.random.default_rng(seed))
-        s = double_conjugate(f)
-        assert (s.f1 <= f.f1).all() and (s.f2 <= f.f2).all()
-        avg = AmplePair(X, (f.f1 + s.f1) / 2, (f.f2 + s.f2) / 2)
+        s1, s2 = flat(X.d, f.f2), star(X.d, f.f1)
+        assert (s1 <= f.f1).all() and (s2 <= f.f2).all()
+        avg = AmplePair(X, (f.f1 + s1) / 2, (f.f2 + s2) / 2)
         assert is_ample(avg)[0]
 
 
@@ -290,9 +284,9 @@ class TestLargenessClaims:
         f = project_to_hull(random_ample_pair(X, np.random.default_rng(seed)))
         f_y = AmplePair(sub, f.f1[idx], f.f2[idx])
         # the conjugate of any ample pair below f|_Y stays within 2 eps of it
-        s = double_conjugate(f_y)
-        assert (s.f1 >= f_y.f1 - 2 * eps - 1e-7).all()
-        assert (s.f2 >= f_y.f2 - 2 * eps - 1e-7).all()
+        s1, s2 = flat(sub.d, f_y.f2), star(sub.d, f_y.f1)
+        assert (s1 >= f_y.f1 - 2 * eps - 1e-7).all()
+        assert (s2 >= f_y.f2 - 2 * eps - 1e-7).all()
         p_y = project_to_hull(f_y)
         assert (p_y.f1 >= f_y.f1 - 2 * eps - 1e-7).all()
         assert (p_y.f2 >= f_y.f2 - 2 * eps - 1e-7).all()
@@ -347,7 +341,7 @@ class TestRetraction:
         rng = np.random.default_rng(seed)
         G = rng.uniform(0.0, 2.0 * X.diam + 0.1, (rows, X.n))
         F2 = rng.uniform(0.0, 2.0 * X.diam + 0.1, (rows, X.n))
-        # project_arrays and metric_diag_check, on any stack of pairs
+        # sample_hull, in_hull and embed_point, on any stack of pairs
         want = dsym(G, F2, flat(X.d, F2), star(X.d, G))
         assert np.array_equal(residual(X.d, G, F2), want)
         # retract, which reused flat(P2) from the step that built P1
@@ -357,9 +351,9 @@ class TestRetraction:
         assert np.array_equal(retract(X.d, G)[2], dsym(P1, P2, S1, star(X.d, P1)))
         # embed_point, through the double conjugate of the embedded pair
         for x in range(X.n):
-            f = AmplePair(X, X.d[x, :], X.d[:, x])
-            s = double_conjugate(f)
-            assert embed_point(X, x).certified_tol == float(dsym(f.f1, f.f2, s.f1, s.f2))
+            f1, f2 = X.d[x, :], X.d[:, x]
+            s1, s2 = flat(X.d, f2), star(X.d, f1)
+            assert embed_point(X, x).certified_tol == float(dsym(f1, f2, s1, s2))
 
     @given(
         qspaces(min_n=1, halves=True) | qspaces(min_n=1),

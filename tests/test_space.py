@@ -8,15 +8,11 @@ import hypothesis.strategies as st
 from qmet import (
     QSpace,
     SubsetRef,
-    asym_defect,
     conjugate,
     demo_space,
-    dualize,
     hausdorff,
     is_isometric,
     largeness_constant,
-    metric_convexity_defect,
-    product_sup,
     restrict,
     symmetrize,
     validate,
@@ -30,7 +26,6 @@ from qmet.errors import (
     NonFiniteEntry,
     NonSquareMatrix,
     NotIncreasing,
-    SizeOverflow,
     ValidationError,
 )
 from helpers import (
@@ -38,7 +33,6 @@ from helpers import (
     perturbed_space,
     qspaces,
     reference_candidates,
-    reference_convexity_defect,
     reference_is_isometric,
 )
 
@@ -170,11 +164,6 @@ class TestDualize:
     def test_symmetrize_fixes_metric(self):
         assert np.array_equal(symmetrize(M2).d, M2.d)
 
-    def test_dualize_dispatch(self):
-        assert dualize(S, "conjugate") == conjugate(S)
-        with pytest.raises(ValueError):
-            dualize(S, "flip")
-
     @given(qspaces())
     def test_conjugate_involution(self, X):
         assert conjugate(conjugate(X)) == X
@@ -217,27 +206,6 @@ class TestRestrict:
         if error is IndexOutOfRange:  # plain index lists take the same check
             with pytest.raises(error):
                 restrict(L3, list(indices))
-
-
-class TestProduct:
-    def test_sierpinski_square(self):
-        P = product_sup(S, S)
-        assert P.n == 4
-        # index (i, j) -> i * 2 + j
-        assert P.d[3, 0] == 1.0
-
-    def test_unit_law(self):
-        point = QSpace([[0.0]])
-        P = product_sup(L3, point)
-        assert is_isometric(P, L3) is not None
-
-    def test_line3_times_sierpinski(self):
-        P = product_sup(L3, S)
-        assert P.d[2 * 2 + 1, 0] == 2.0
-
-    def test_size_cap(self):
-        with pytest.raises(SizeOverflow):
-            product_sup(L3, L3, cap=8)
 
 
 class TestHausdorff:
@@ -284,32 +252,6 @@ class TestLargeness:
         assert largeness_constant(X, y) == pytest.approx(
             hausdorff(symmetrize(X), allpts, y, "q"), abs=1e-12
         )
-
-
-class TestDefects:
-    def test_convexity_examples(self):
-        assert metric_convexity_defect(QSpace([[0.0]])) == 0.0
-        assert metric_convexity_defect(S) == pytest.approx(0.5)
-        assert metric_convexity_defect(L3) == pytest.approx(0.5)
-
-    def test_asym_examples(self):
-        assert asym_defect(M2) == 0.0
-        assert asym_defect(S) == pytest.approx(0.5)
-        assert asym_defect(L3) == pytest.approx(1.0)
-
-    @given(qspaces(max_n=4), st.randoms(use_true_random=False))
-    def test_relabel_invariance(self, X, pyrng):
-        perm = list(range(X.n))
-        pyrng.shuffle(perm)
-        Y = QSpace(X.d[np.ix_(perm, perm)])
-        assert metric_convexity_defect(Y) == pytest.approx(
-            metric_convexity_defect(X), abs=1e-12
-        )
-        assert asym_defect(Y) == pytest.approx(asym_defect(X), abs=1e-12)
-
-    @given(st.one_of(qspaces(max_n=6), qspaces(max_n=6, halves=True)))
-    def test_convexity_matches_candidate_loop(self, X):
-        assert metric_convexity_defect(X) == reference_convexity_defect(X)
 
 
 class TestIsometric:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import qmet
 from qmet.tolerances import ledger
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -191,3 +192,69 @@ def test_gh_search_smoke_has_no_failed_operation():
     # most half the entrywise gap on perturbations
     result, err = _smoke("gh-search")
     assert result["correct"] and result["failed"] == 0, err
+
+
+# public names that nothing in the library, the acceptance suite, the
+# benchmark or the scripts reaches yet, kept on purpose
+KEPT_UNREACHED = {
+    "hausdorff": "the stability bound through the glued space builds on it",
+    "glue_space": "the stability bound through the glued space builds on it",
+    "find_center": "the paper's solved ball family, the tests' check on min_delta",
+    "ample_completion": "the test strategies draw ample pairs with it",
+    "space_to_csv": "writes the CSV format that parse_space reads",
+}
+
+
+def _used_names(path):
+    """Names a module loads, each outside the top-level definition that
+    binds it, so a function's own recursion or a class's own methods do not
+    count as a use."""
+    used = set()
+    for top in ast.parse(path.read_text()).body:
+        own = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if name != own:
+                used.add(name)
+    return used
+
+
+def _imported(tree):
+    """(bound name, line) for every import in a module but __future__'s."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0], node.lineno
+
+
+def test_public_names_are_reached():
+    # each exported name serves a command, an acceptance criterion, the
+    # benchmark, a script or another library function
+    init = SRC / "__init__.py"
+    assert set(qmet.__all__) == {name for name, _ in _imported(ast.parse(init.read_text()))}
+    reach = [p for p in sorted(SRC.glob("*.py")) if p != init]
+    reach += [ROOT / "tests" / "test_acceptance.py"]
+    reach += sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    used = set().union(*map(_used_names, reach))
+    # an exemption lapses once the name is reached or gone
+    assert set(KEPT_UNREACHED) <= set(qmet.__all__) - used
+    assert sorted(set(qmet.__all__) - used - set(KEPT_UNREACHED)) == []
+
+
+def test_no_unused_imports():
+    # a deletion must take the imports that served only it along
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.stem}:{line} {name}" for name, line in _imported(tree) if name not in loaded]
+    assert found == []
