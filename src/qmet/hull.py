@@ -3,22 +3,71 @@
 The hull of a finite space is an infinite polyhedral object; it is represented
 here only by certified finite nets: the canonical point embeddings plus
 retracted random candidates.  Nets are deterministic given (space, k, seed).
+
+A net is kept as one array from draw to return.  Its candidates are
+deduplicated a batch at a time by ``_keep``, which finds the rows within
+DEDUP_TOL of each other by sorting them on one weighted projection
+(``_projector``) and comparing only rows whose projections are close
+(``_near_rows``, ``_close_pairs``).  ``HullSample.points`` builds an
+``AmplePair`` only when a point is read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import LengthMismatch, SizeOverflow
 from .gh import _distortion
-from .pairs import AmplePair, dsym, embed_point, residual, retract_points, row_blocks
+from .pairs import AmplePair, embed_point, residual, retract_points, row_blocks
 from .space import QSpace
 from .tolerances import DEDUP_TOL, TRIANGLE_TOL, slack
 
 PERTURB_RADIUS_FACTOR = 0.25
+_PHI = (5.0 ** 0.5 - 1.0) / 2.0  # the projection weights are 1 + (k phi mod 1)
+_EPS = 2.0 ** -52
+
+
+class NetPoints(Sequence):
+    """The points of a net as ``AmplePair``s, each built on its first read.
+
+    ``arrays`` is the net as one read-only (2, m, n) stack, and ``minimal``
+    and ``tols`` give each point's ``certified_minimal`` and
+    ``certified_tol``, so the whole net is read without building a pair.
+    ``len`` is O(1) and reading the same index twice returns the same pair.
+    """
+
+    def __init__(self, space: QSpace, arrays: np.ndarray, minimal, tols, pairs=()):
+        arrays.setflags(write=False)
+        self.space, self.arrays = space, arrays
+        self.minimal, self.tols = list(minimal), list(tols)
+        self._pairs = list(pairs) + [None] * (len(self.tols) - len(pairs))
+
+    @classmethod
+    def of(cls, space: QSpace, pairs) -> NetPoints:
+        """The view of given pairs, which it returns as they are."""
+        pairs = tuple(pairs)
+        return cls(
+            space,
+            np.array([[p.f1 for p in pairs], [p.f2 for p in pairs]]),
+            [bool(p.certified_minimal) for p in pairs],
+            [None if p.certified_tol is None else float(p.certified_tol) for p in pairs],
+            pairs,
+        )
+
+    def __len__(self) -> int:
+        return len(self._pairs)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        i = range(len(self))[i]  # IndexError and negative indices as for a tuple
+        if self._pairs[i] is None:
+            F1, F2 = self.arrays
+            self._pairs[i] = AmplePair(self.space, F1[i], F2[i], self.minimal[i], self.tols[i])
+        return self._pairs[i]
 
 
 @dataclass(frozen=True)
@@ -26,20 +75,24 @@ class HullSample:
     """A certified net of hull points; the point embeddings always come first.
 
     ``spread`` is the minimum pairwise sym-distance among the stored points
-    (inf for a single point).  ``arrays`` is the net as one read-only
-    (2, m, n) stack, built on first use: ``F1, F2 = H.arrays``.
+    (inf for a single point).  ``points`` is a ``NetPoints`` view: pairs
+    given here are wrapped in one, and ``sample_hull`` passes one over its
+    own arrays.  ``arrays`` is the net as one read-only (2, m, n) stack:
+    ``F1, F2 = H.arrays``.
     """
 
     space: QSpace
-    points: tuple[AmplePair, ...]
+    points: Sequence[AmplePair]
     seed: int
     spread: float
 
-    @cached_property
+    def __post_init__(self):
+        if not isinstance(self.points, NetPoints):
+            object.__setattr__(self, "points", NetPoints.of(self.space, self.points))
+
+    @property
     def arrays(self) -> np.ndarray:
-        F = np.array([[p.f1 for p in self.points], [p.f2 for p in self.points]])
-        F.setflags(write=False)
-        return F
+        return self.points.arrays
 
 
 def sample_hull(X: QSpace, k: int, seed: int = 0) -> HullSample:
@@ -52,14 +105,19 @@ def sample_hull(X: QSpace, k: int, seed: int = 0) -> HullSample:
     half goes to the hull as one batch by the exact two-step retraction
     g -> (flat(star(g)), star(g)), in row blocks of n * n floats a row
     (``pairs.row_blocks``).  The point embeddings are always included
-    (first).  The kept points form one pool, a (2n, n + k) stack with the
-    point axis first: column j is (f1, f2) of point j.  One dedup rule serves
-    every candidate, fresh or perturbed, in draw order: its gap is its least
-    sym-distance to the pool's live columns, one subtraction, and it is kept
-    when the gap exceeds DEDUP_TOL.  ``spread`` is the least gap of a kept
-    point, or between embeddings.  Residuals are measured once, at the end,
-    for the kept points only, in the same row blocks.  SizeOverflow when
-    k > 0 and 2 diam overflows a float.
+    (first).  The kept points form one pool of rows (f1, f2).
+
+    One dedup rule serves every candidate, fresh or perturbed, in draw
+    order: it is kept when no earlier kept point lies within DEDUP_TOL of it
+    in sym-distance.  Each half is deduplicated as one batch by ``_keep``,
+    which finds the near pairs by a sorted sweep rather than comparing each
+    candidate with the pool, and then applies the rule to those pairs alone.
+    ``spread`` is the least sym-distance between two points of the final
+    net, found by the same sweep.  Residuals are measured once, at the end,
+    for the kept points only, in the same row blocks.  The points are
+    returned as a lazy ``NetPoints`` view over the pool; only the n
+    embeddings are built as pairs, as ``embed_point`` checks that the space
+    makes them ample.  SizeOverflow when k > 0 and 2 diam overflows a float.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -67,41 +125,163 @@ def sample_hull(X: QSpace, k: int, seed: int = 0) -> HullSample:
         raise SizeOverflow(f"cannot draw hull candidates in [0, 2 diam]: diam = {X.diam:.6g}")
     rng = np.random.default_rng(seed)
     d, n = X.d, X.n
-    points = [embed_point(X, i) for i in range(n)]
-    # the pool of accepted points, grown in place; columns [:m] are live and
-    # each candidate is drawn into column m, which a kept candidate keeps
-    pool = np.empty((2 * n, n + k))
-    pool[:n, :n], pool[n:, :n] = d.T, d  # the embeddings x -> (d(x, .), d(., x))
-    gaps = dsym(d[:, None, :], d.T[:, None, :], d, d.T)
-    np.fill_diagonal(gaps, np.inf)
-    spread, m = gaps.min(), n
-
-    def keep(G):
-        nonlocal spread, m
-        for g in G:
-            pool[:, m] = g
-            D = pool[:, :m] - pool[:, m, None]
-            gap = np.minimum.reduce(np.maximum.reduce(np.abs(D, out=D), axis=0))
-            if gap > DEDUP_TOL:
-                spread = min(spread, gap)
-                m += 1
-
-    R = X.diam
+    embeddings = [embed_point(X, i) for i in range(n)]
+    # row j of the pool is (f1, f2) of point j; rows [:m] are kept points
+    pool = np.empty((n + k, 2 * n))
+    pool[:n, :n], pool[:n, n:] = d, d.T  # the embeddings x -> (d(x, .), d(., x))
+    m, R = n, X.diam
     if k > 0 and R > 0.0:
         n_fresh = (k + 1) // 2
-        keep(_retract_rows(d, rng.uniform(0.0, 2.0 * R, size=(n_fresh, n))))
-        bases = pool[:n, rng.integers(0, m, size=k - n_fresh)].T
+        m = _keep(pool, m, _retract_rows(d, rng.uniform(0.0, 2.0 * R, size=(n_fresh, n))))
+        bases = pool[rng.integers(0, m, size=k - n_fresh), :n]
         radius = PERTURB_RADIUS_FACTOR * R
         bumps = rng.uniform(-radius, radius, size=bases.shape)
-        keep(_retract_rows(d, np.maximum(bases + bumps, 0.0)))
+        m = _keep(pool, m, _retract_rows(d, np.maximum(bases + bumps, 0.0)))
 
-    F1, F2 = pool[:n, n:m].T, pool[n:, n:m].T
+    F = np.ascontiguousarray(pool[:m].reshape(m, 2, n).transpose(1, 0, 2))
+    tols = [p.certified_tol for p in embeddings]
     for s in row_blocks(m - n, n * n):
-        points += [
-            AmplePair(X, f1, f2, certified_minimal=True, certified_tol=float(r))
-            for f1, f2, r in zip(F1[s], F2[s], residual(d, F1[s], F2[s]))
-        ]
-    return HullSample(X, tuple(points), seed, float(spread))
+        tols += residual(d, F[0, n:][s], F[1, n:][s]).tolist()
+    _, _, gaps = _close_pairs(pool[:m], np.inf, shrink=True)
+    spread = float(gaps.min()) if len(gaps) else np.inf
+    return HullSample(X, NetPoints(X, F, [True] * m, tols, embeddings), seed, spread)
+
+
+def _keep(pool: np.ndarray, m: int, C: np.ndarray) -> int:
+    """Append to the pool, after its m kept rows, the rows of C that the
+    dedup rule keeps, in draw order; returns the new count of kept rows.
+
+    A dropped row changes no other decision, so the rule needs only the
+    pairs within DEDUP_TOL.  C is taken in chunks of
+    ``row_blocks(len(C), 64)`` rows (1,024 at the default block size), in
+    draw order.  First each row within DEDUP_TOL of a kept row is dropped
+    (``_near_rows``): every copy of a kept row, and most candidates where
+    the hull is small next to DEDUP_TOL.  The chunk's other rows are then
+    decided among themselves, in draw order, from the pairs that
+    ``_close_pairs`` finds.  A copy of an earlier row (distance 0) is
+    dropped: its earlier twin is kept or lies within DEDUP_TOL of an earlier
+    kept row, and either way so does the copy.  Any other row is kept unless
+    an earlier kept row pairs with it.  The chunks bound the sweep at
+    1,024^2 / 2 distances, even where all of a chunk's rows share a window.
+    """
+    for s in row_blocks(len(C), 64):
+        B = C[s][~_near_rows(pool[:m], C[s])]
+        a, b, gaps = _close_pairs(B, DEDUP_TOL)
+        i, j = np.minimum(a, b), np.maximum(a, b)
+        keep = np.ones(len(B), dtype=bool)
+        order = np.argsort(j, kind="stable")
+        for ii, jj, g in zip(i[order].tolist(), j[order].tolist(), gaps[order].tolist()):
+            if g == 0.0 or keep[ii]:  # keep[ii] is final: (., ii) came before
+                keep[jj] = False
+        kept = B[keep]
+        pool[m : m + len(kept)] = kept
+        m += len(kept)
+    return m
+
+
+def _projector(top: float, K: int):
+    """Projection weights w for rows (f1, f2) of K entries in [0, top], and
+    the window of a limit: two rows within sym-distance ``limit`` have
+    computed projections ``row @ w`` within ``window(limit)`` of each other.
+
+    The weights are +-2^-e (1 + (k phi mod 1)), phi the golden ratio, + on
+    f1 and - on f2, with 2^e just above ``top``:
+      - generic, because a tight matching fixes the plain sum of the
+        coordinates on a whole hull cell, and plain sums would tie there;
+      - of opposite signs on f1 and f2, because f2 falls where f1 rises
+        along the hull, and a sum of both would cancel: the projection would
+        pack many points of one cell into one window;
+      - scaled by a power of two, so that no sum overflows near the float
+        range and the scaling rounds nothing but subnormals.
+    Why the window is safe, with W' = sum |w| and W = sum (1 + (k phi mod 1)):
+    each coordinate of the pair differs by at most limit (1 + eps), so the
+    exact projections differ by at most W' limit (1 + 2 K eps), which covers
+    the rounding of W' too.  Each computed projection sums K products
+    |w_k a_k| < 2, so it is within K eps W of the exact one, underflows
+    included; the window's margin 4 K eps W covers two of them and the
+    rounding of the window itself.
+    """
+    e = max(int(np.frexp(top)[1]), -1000)  # 2^1000 w is finite
+    w = 1.0 + np.arange(K) * _PHI % 1.0
+    margin = 4.0 * K * _EPS * w.sum()
+    w = np.ldexp(w, -e)
+    scale = w.sum() * (1.0 + 2.0 * K * _EPS)
+    w[K // 2 :] *= -1.0
+    return w, lambda limit: scale * limit + margin
+
+
+def _near_rows(P: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Which rows of B lie within DEDUP_TOL of a row of P, both (rows, K)
+    arrays >= 0.  The rows of P are sorted by the projection of
+    ``_projector``; each row of B is compared, with the point axis leading,
+    with the rows of P in its window in that order, until one is within
+    DEDUP_TOL."""
+    w, window = _projector(max(P.max(initial=0.0), B.max(initial=0.0)), P.shape[1])
+    sP = P @ w
+    order = np.argsort(sP)
+    sP, S = sP[order], P.T.take(order, axis=1)
+    sB = B @ w
+    r = window(DEDUP_TOL)
+    lo = np.searchsorted(sP, sB - r, "left")
+    hi = np.searchsorted(sP, sB + r, "right")
+    BT = np.ascontiguousarray(B.T)
+    near = np.zeros(len(B), dtype=bool)
+    live = np.flatnonzero(hi > lo)
+    for o in range(len(P)):
+        live = live[lo[live] + o < hi[live]]
+        if not len(live):
+            break
+        D = BT[:, live] - S[:, lo[live] + o]
+        far = np.abs(D, out=D).max(axis=0) > DEDUP_TOL
+        near[live[~far]] = True
+        live = live[far]
+    return near
+
+
+def _close_pairs(A: np.ndarray, limit: float, shrink: bool = False):
+    """The pairs of rows of A, a (rows, K) array >= 0, within sym-distance
+    ``limit``: index arrays a and b and their distances.  With ``shrink`` the
+    limit falls to the least distance found so far, so that the pairs found
+    include a closest one; from limit = inf that finds the spread.
+
+    The rows are sorted by the projection of ``_projector``.  A run of
+    equal rows in that order enters the sweep as one row, named by its first
+    drawn row, and each other row of the run pairs with that one at
+    distance 0; runs of copies would otherwise share one window.  Then, for
+    offsets o = 1, 2, ..., each live row p pairs with row p + o when
+    s[p + o] - s[p] is within the window, and the pair's distance is
+    computed with the point axis leading.  A row outside the window at
+    offset o is outside it at every larger offset, so it leaves the sweep,
+    which ends when no row is live.
+    """
+    w, window = _projector(A.max(initial=0.0), A.shape[1])
+    s = A @ w
+    order = np.argsort(s)
+    S = A.T.take(order, axis=1)  # the sorted rows as columns: the point axis leads
+    new_run = np.ones(len(A), dtype=bool)
+    new_run[1:] = (S[:, 1:] != S[:, :-1]).any(axis=0)
+    starts = np.flatnonzero(new_run)
+    first = np.minimum.reduceat(order, starts)  # each run's first drawn row
+    twin = first[np.cumsum(new_run) - 1]
+    copy = order != twin
+    found = [(twin[copy], order[copy], np.zeros(np.count_nonzero(copy)))]
+    if shrink and copy.any():
+        limit = 0.0
+    s, S = s[order[starts]], S[:, starts]
+    live = np.arange(len(starts))
+    for o in range(1, len(starts)):
+        live = live[: np.searchsorted(live, len(starts) - o)]
+        live = live[s[live + o] - s[live] <= window(limit)]
+        if not len(live):
+            break
+        D = S[:, live] - S[:, live + o]
+        gap = np.abs(D, out=D).max(axis=0)
+        near = gap <= limit
+        found.append((first[live[near]], first[live[near] + o], gap[near]))
+        if shrink:
+            limit = min(limit, float(gap.min()))
+    a, b, gaps = (np.concatenate(x) for x in zip(*found))
+    return a, b, gaps
 
 
 def _retract_rows(d: np.ndarray, G: np.ndarray) -> np.ndarray:

@@ -131,17 +131,26 @@ def space_to_csv(X: QSpace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def pair_to_obj(f: AmplePair) -> dict:
+def _point_obj(f1: list, f2: list, minimal: bool, tol: float | None) -> dict:
     return {
-        "f1": [float(v) for v in f.f1],
-        "f2": [float(v) for v in f.f2],
-        "certified_minimal": bool(f.certified_minimal),
-        "tolerance": None if f.certified_tol is None else float(f.certified_tol),
+        "f1": f1,
+        "f2": f2,
+        "certified_minimal": bool(minimal),
+        "tolerance": None if tol is None else float(tol),
     }
 
 
+def pair_to_obj(f: AmplePair) -> dict:
+    return _point_obj(f.f1.tolist(), f.f2.tolist(), f.certified_minimal, f.certified_tol)
+
+
 def hull_to_obj(H: HullSample) -> dict:
-    return {"seed": int(H.seed), "points": [pair_to_obj(p) for p in H.points]}
+    """The net with one entry per point, as ``pair_to_obj`` writes a pair,
+    read from the net's arrays and certificates without building a pair."""
+    P = H.points
+    F1, F2 = P.arrays.tolist()
+    entries = zip(F1, F2, P.minimal, P.tols)
+    return {"seed": int(H.seed), "points": [_point_obj(*e) for e in entries]}
 
 
 def witness_to_obj(w: RoughIsometryWitness, correspondence=None) -> dict:

@@ -20,7 +20,8 @@ from qmet import (
 )
 from qmet import pairs
 from qmet.errors import LengthMismatch, QmetError, ValidationError
-from qmet.hull import HullSample, _net_matrix
+from qmet.hull import HullSample, _net_matrix, _retract_rows
+from qmet.io import hull_to_obj
 from qmet.pairs import AmplePair, dsym, embed_point, is_ample, row_blocks
 from helpers import (
     perturbed_space,
@@ -295,6 +296,80 @@ class TestAgainstReference:
         Y = perturbed_space(X, rng, 0.1)
         HX, HY = sample_hull(X, 400, seed=1), sample_hull(Y, 400, seed=2)
         assert net_gh_upper(HX, HY) == reference_net_gh_upper(HX, HY)
+
+
+class TestCopiesAndTies:
+    """Nets heavy in bitwise copies, in projection ties and in candidates
+    within DEDUP_TOL of each other, against the reference sampler."""
+
+    @pytest.mark.parametrize("name", ["sierpinski", "line3", "metric2", "runit5"])
+    def test_demos(self, name):
+        X = demo_space(name)
+        fresh = _retract_rows(X.d, np.random.default_rng(0).uniform(0.0, 2.0 * X.diam, (1000, X.n)))
+        assert len(np.unique(fresh, axis=0)) < 850  # sierpinski: 488 of 1,000
+        assert_same_net(sample_hull(X, 2000, seed=0), reference_sample_hull(X, 2000, seed=0))
+
+    @pytest.mark.parametrize(
+        "scale, k, chunk",
+        [(1e-300, 400, None), (1e300, 400, None), (1e-8, 5000, None), (1e-8, 5000, 100),
+         (1e-7, 2000, None), (1e-7, 2000, 100)],
+    )
+    def test_random_spaces_at_scale(self, monkeypatch, scale, k, chunk):
+        # at 1e-300 every candidate is within DEDUP_TOL of an embedding; at
+        # 1e-8 and 1e-7 the hull is a few hundred DEDUP_TOL wide, so copies of
+        # dropped rows arrive and one window holds many rows; at 1e300 the
+        # projection must not overflow (a RuntimeWarning is an error here);
+        # with chunk, _keep takes the batches 100 rows at a time
+        if chunk:
+            monkeypatch.setattr(pairs, "BLOCK_ELEMENTS", 64 * chunk)
+        for seed in range(3):
+            X = random_qspace(4, np.random.default_rng(seed), scale=scale)
+            assert_same_net(sample_hull(X, k, seed), reference_sample_hull(X, k, seed))
+
+    @pytest.mark.parametrize("d", [[[0.0]], np.zeros((3, 3)), [[0, 0, 1], [0, 0, 1], [1, 1, 0]]])
+    def test_one_point_and_zero_distances(self, d):
+        X = QSpace(d)
+        for k in (0, 1, 25):
+            assert_same_net(sample_hull(X, k, seed=1), reference_sample_hull(X, k, seed=1))
+
+
+def test_points_are_built_on_read(monkeypatch):
+    # a net is arrays until a point is read: sampling, len, arrays, the net
+    # bound and the hull payload build no pair beyond the n embeddings
+    built = []
+    post_init = AmplePair.__post_init__
+    monkeypatch.setattr(AmplePair, "__post_init__", lambda f: built.append(f) or post_init(f))
+    rng = np.random.default_rng(7007)
+    X = random_qspace(4, rng)
+    Y = perturbed_space(X, rng, 0.08 * X.diam)
+    for Z in (X, Y):
+        for i in range(Z.n):
+            embed_point(Z, i)
+    per_embeddings = len(built)
+    built.clear()
+    HX, HY = sample_hull(X, 400, 0), sample_hull(Y, 400, 1)
+    assert len(HX.points) > 300 and HX.arrays.shape == (2, len(HX.points), 4)
+    net_gh_upper(HX, HY)
+    hull_to_obj(HX)
+    assert len(built) == per_embeddings
+    p = HX.points[200]
+    assert HX.points[200] is p and HX.points[-1] is HX.points[len(HX.points) - 1]
+    assert len(built) == per_embeddings + 2
+    assert np.array_equal(p.f1, HX.arrays[0, 200]) and np.array_equal(p.f2, HX.arrays[1, 200])
+    assert p.certified_minimal and p.certified_tol == HX.points.tols[200]
+
+
+def test_sample_hull_memory_at_10_000():
+    # the net stays O(k n): a k x k gap matrix alone would be 800 MB
+    X = random_qspace(4, np.random.default_rng(1))
+    tracemalloc.start()
+    try:
+        H = sample_hull(X, 10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(H.points) > 5000
+    assert peak < 20_000_000
 
 
 def test_arrays_is_a_read_only_stack():

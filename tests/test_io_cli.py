@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -27,7 +28,7 @@ from qmet import (
 from qmet import cli
 from qmet.cli import MAX_MATRIX_POINTS, MAX_SAMPLES, build_parser, dispatch
 from qmet.errors import ParseError, QmetError, ValidationError
-from qmet.io import load_map
+from qmet.io import hull_to_obj, load_map, pair_to_obj
 from qmet.tolerances import ledger
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -174,6 +175,16 @@ class TestParsing:
         p.write_text(space_to_json(X))
         assert parse_space(p) == X
         assert parse_space(str(p)) == X
+
+
+def test_hull_payload_is_one_pair_payload_a_point():
+    # hull_to_obj reads the net's arrays and certificates, not its pairs; the
+    # payload is the one that serialising each pair wrote, to the byte
+    H = sample_hull(random_qspace(4, np.random.default_rng(5)), 400, seed=3)
+    text = json.dumps(hull_to_obj(H))
+    assert text == json.dumps({"seed": 3, "points": [pair_to_obj(p) for p in H.points]})
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "e8537017404ac4b0b45a59bda4e583bceaee6593dad61621fdd30e5476651f1c"
 
 
 class TestCLI:

@@ -138,6 +138,13 @@ def test_one_retraction_kernel():
     assert found == {"hull._retract_rows"}
 
 
+def test_hull_builds_pairs_only_on_read():
+    # a net is one array from draw to return: hull.py builds an AmplePair in
+    # the lazy view's __getitem__ alone, so no pair per candidate creeps back
+    found = {owner for owner, name in _owned_calls(SRC / "hull.py") if name == "AmplePair"}
+    assert found == {"hull.__getitem__"}
+
+
 def test_schemas_list_the_ledger():
     # every --json envelope carries ledger() under "tolerances"; each schema
     # copies its keys by hand, so a key added to the ledger must reach them all
