@@ -162,14 +162,7 @@ def cmd_rough_iso(args) -> Report:
     inv = rough_inverse(w)
     if args.witness:
         Path(args.witness).write_text(json.dumps(qio.witness_to_obj(w, R), indent=2))
-    payload = {
-        "map": list(w.map),
-        "eps_embed": w.eps_embed,
-        "eps_large": w.eps_large,
-        "eps": w.eps,
-        "correspondence": [list(p) for p in R.pairs],
-        "inverse": asdict(inv),
-    }
+    payload = {**qio.witness_to_obj(w, R), "inverse": asdict(inv)}
     lines = [
         f"map: {list(w.map)}",
         f"eps_embed = {_fmt(w.eps_embed)}  eps_large = {_fmt(w.eps_large)}  eps = {_fmt(w.eps)}",
@@ -313,10 +306,12 @@ def dispatch(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
     try:
+        # the --tol the inputs were validated with; demo reads none
+        tolerances = ledger(getattr(args, "tol", TRIANGLE_TOL))
         if args.json:
-            print(json.dumps({"command": args.command, **payload, "tolerances": ledger()}, indent=2))
+            print(json.dumps({"command": args.command, **payload, "tolerances": tolerances}, indent=2))
         else:
-            ledger_line = " ".join(f"{k}={_fmt(v)}" for k, v in ledger().items())
+            ledger_line = " ".join(f"{k}={_fmt(v)}" for k, v in tolerances.items())
             print("\n".join([*lines, f"tolerances: {ledger_line}"]))
         sys.stdout.flush()  # a closed pipe raises here at the latest, not at exit
     except BrokenPipeError:

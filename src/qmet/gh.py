@@ -240,8 +240,7 @@ def glue_space(X: QSpace, Y: QSpace, R: Correspondence, eps: float) -> QSpace:
     Hausdorff distance exactly eps; below that threshold the triangle
     inequality breaks and EpsTooSmall reports a violating triple.
     """
-    a = np.array([p[0] for p in R.pairs])
-    b = np.array([p[1] for p in R.pairs])
+    a, b = np.array(R.pairs).T
     xy = (X.d[:, a][:, :, None] + Y.d[b, :][None, :, :]).min(axis=1) + eps
     yx = (Y.d[:, b][:, :, None] + X.d[a, :][None, :, :]).min(axis=1) + eps
     Z = np.block([[X.d, xy], [yx, Y.d]])
@@ -284,14 +283,12 @@ def verify_rough_isometry(phi, X: QSpace, Y: QSpace) -> RoughIsometryWitness:
 
 
 def rough_isometry_from_correspondence(R: Correspondence) -> RoughIsometryWitness:
-    """Select phi(x) = first partner of x in R; eps never exceeds dis R."""
+    """Select phi(x) = least partner of x in R; eps never exceeds dis R."""
     if not isinstance(R.left, QSpace) or not isinstance(R.right, QSpace):
         raise TypeError("witness extraction needs QSpace sides")
-    first = {}
-    for i, j in R.pairs:
-        first.setdefault(i, j)
-    phi = [first[i] for i in range(R.left.n)]
-    return verify_rough_isometry(phi, R.left, R.right)
+    x, y = np.array(R.pairs).T
+    # the pairs are sorted, so x's first pair holds its least partner
+    return verify_rough_isometry(y[np.unique(x, return_index=True)[1]], R.left, R.right)
 
 
 def correspondence_from_rough_isometry(w: RoughIsometryWitness) -> Correspondence:
@@ -299,14 +296,8 @@ def correspondence_from_rough_isometry(w: RoughIsometryWitness) -> Correspondenc
 
     Always a correspondence; its distortion is at most 3 eps.
     """
-    ds = w.target.dsym
-    pairs = [
-        (x, y)
-        for x in range(w.source.n)
-        for y in range(w.target.n)
-        if ds[w.map[x], y] <= w.eps
-    ]
-    return Correspondence(w.source, w.target, tuple(pairs))
+    pairs = np.argwhere(w.target.dsym[list(w.map)] <= w.eps)
+    return Correspondence(w.source, w.target, tuple(map(tuple, pairs)))
 
 
 @dataclass(frozen=True)
@@ -326,13 +317,9 @@ class RoughInverse:
 def rough_inverse(w: RoughIsometryWitness) -> RoughInverse:
     """psi(y) = the point whose image is sym-nearest to y (lowest index)."""
     dsY = w.target.dsym
-    dsX = w.source.dsym
     img = np.asarray(w.map)
-    psi = [int(np.argmin(dsY[img, y])) for y in range(w.target.n)]
-    ip = np.asarray(psi)
-    defect = float(
-        np.maximum(w.source.d[np.ix_(ip, ip)] - w.target.d, 0.0).max()
-    )
-    target_close = float(max(dsY[img[psi[y]], y] for y in range(w.target.n)))
-    source_close = float(max(dsX[ip[w.map[x]], x] for x in range(w.source.n)))
-    return RoughInverse(tuple(psi), defect, target_close, source_close)
+    psi = dsY[img].argmin(axis=0)  # argmin keeps the first minimum
+    defect = float(np.maximum(w.source.d[np.ix_(psi, psi)] - w.target.d, 0.0).max())
+    target_close = float(dsY[img[psi], np.arange(w.target.n)].max())
+    source_close = float(w.source.dsym[psi[img], np.arange(w.source.n)].max())
+    return RoughInverse(tuple(psi.tolist()), defect, target_close, source_close)

@@ -25,7 +25,7 @@ the front.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -215,9 +215,10 @@ def embed_point(X: QSpace, x: int) -> AmplePair:
     """
     if not 0 <= x < X.n:
         raise IndexOutOfRange(f"point index {x} out of range for n={X.n}")
-    f = AmplePair(X, X.d[x, :], X.d[:, x])
+    f1, f2 = X.d[x, :], X.d[:, x]
+    f = AmplePair(X, f1, f2, True, float(residual(X.d, f1, f2)))
     _require_ample(f)
-    return replace(f, certified_minimal=True, certified_tol=float(residual(X.d, f.f1, f.f2)))
+    return f
 
 
 def ample_completion(X: QSpace, f1) -> AmplePair:

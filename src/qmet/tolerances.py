@@ -19,9 +19,10 @@ def slack(tol: float, scale: float) -> float:
     return max(tol, 4.0 * 2.0 ** -52 * scale)  # eps = 2 ** -52
 
 
-def ledger():
-    """Tolerance ledger embedded in every report."""
+def ledger(tau_tri: float = TRIANGLE_TOL):
+    """Tolerance ledger embedded in every report; ``tau_tri`` is the
+    triangle slack the report's inputs were validated with."""
     return {
-        "tau_tri": TRIANGLE_TOL,
+        "tau_tri": tau_tri,
         "certification_tol": CERTIFICATION_TOL,
     }

@@ -4,7 +4,13 @@ import hypothesis.strategies as st
 import numpy as np
 
 from qmet import QSpace, ample_completion, random_qspace, triangle_closure
-from qmet.gh import DEFAULT_BUDGET, Correspondence, GHResult
+from qmet.gh import (
+    DEFAULT_BUDGET,
+    Correspondence,
+    GHResult,
+    RoughInverse,
+    verify_rough_isometry,
+)
 from qmet.hull import PERTURB_RADIUS_FACTOR, HullSample
 from qmet.pairs import (
     AmplePair,
@@ -421,3 +427,39 @@ def reference_find_center(X, F, delta, atol=1e-12):
         ).all():
             return z
     return None
+
+
+# The witness conversions as ``gh.py`` wrote them before they became index
+# array expressions: a dict of first partners, a double loop and one argmin
+# per target point.  The library must match them bit for bit.
+def reference_rough_isometry_from_correspondence(R):
+    first = {}
+    for i, j in R.pairs:
+        first.setdefault(i, j)
+    phi = [first[i] for i in range(R.left.n)]
+    return verify_rough_isometry(phi, R.left, R.right)
+
+
+def reference_correspondence_from_rough_isometry(w):
+    ds = w.target.dsym
+    pairs = [
+        (x, y)
+        for x in range(w.source.n)
+        for y in range(w.target.n)
+        if ds[w.map[x], y] <= w.eps
+    ]
+    return Correspondence(w.source, w.target, tuple(pairs))
+
+
+def reference_rough_inverse(w):
+    dsY = w.target.dsym
+    dsX = w.source.dsym
+    img = np.asarray(w.map)
+    psi = [int(np.argmin(dsY[img, y])) for y in range(w.target.n)]
+    ip = np.asarray(psi)
+    defect = float(
+        np.maximum(w.source.d[np.ix_(ip, ip)] - w.target.d, 0.0).max()
+    )
+    target_close = float(max(dsY[img[psi[y]], y] for y in range(w.target.n)))
+    source_close = float(max(dsX[ip[w.map[x]], x] for x in range(w.source.n)))
+    return RoughInverse(tuple(psi), defect, target_close, source_close)

@@ -20,6 +20,7 @@ from qmet import (
     random_qspace,
     rough_inverse,
     rough_isometry_from_correspondence,
+    triangle_closure,
     verify_rough_isometry,
 )
 from qmet import pairs as qpairs
@@ -36,9 +37,12 @@ from helpers import (
     permuted_copy,
     perturbed_space,
     qspaces,
+    reference_correspondence_from_rough_isometry,
     reference_distortion,
     reference_gh,
     reference_is_isometric,
+    reference_rough_inverse,
+    reference_rough_isometry_from_correspondence,
     rng_spaces,
 )
 
@@ -477,6 +481,60 @@ class TestRoughInverse:
         assert inv.nonexpansive_defect <= 3 * w.eps + 1e-9
         assert inv.target_closeness <= w.eps + 1e-9
         assert inv.source_closeness <= 2 * w.eps + 1e-9
+
+
+@st.composite
+def zero_distance_spaces(draw, max_n=5):
+    """Closed pseudo spaces in which distinct points often sit at 0."""
+    n = draw(st.integers(1, max_n))
+    vals = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=n * n, max_size=n * n))
+    m = np.array(vals).reshape(n, n)
+    np.fill_diagonal(m, 0.0)
+    return QSpace(triangle_closure(m))
+
+
+# random, tie-heavy, zero-distance and nonzero-diagonal spaces of 1-5 points
+WITNESS_SPACES = st.one_of(
+    qspaces(min_n=1),
+    qspaces(min_n=1, halves=True),
+    zero_distance_spaces(),
+    qspaces(min_n=1, closed=False),
+)
+
+
+class TestWitnessesAgainstReference:
+    """The index-array witness conversions against the loops they replaced,
+    compared with ==: maps, pairs, both eps constants and every inverse field."""
+
+    @settings(max_examples=200)
+    @given(WITNESS_SPACES, WITNESS_SPACES, st.data())
+    def test_map_chain(self, X, Y, data):
+        target = st.integers(0, Y.n - 1)
+        constant = target.map(lambda y: [y] * X.n)
+        phi = data.draw(constant | st.lists(target, min_size=X.n, max_size=X.n))
+        w = verify_rough_isometry(phi, X, Y)
+        inv = rough_inverse(w)
+        assert inv == reference_rough_inverse(w)  # every field
+        assert all(type(v) is int for v in inv.map)  # as JSON writes them
+        R = correspondence_from_rough_isometry(w)
+        assert R.pairs == reference_correspondence_from_rough_isometry(w).pairs
+        self.check_from_correspondence(R)
+
+    @settings(max_examples=200)
+    @given(WITNESS_SPACES, WITNESS_SPACES, st.data())
+    def test_any_correspondence(self, X, Y, data):
+        pairs = {(i, data.draw(st.integers(0, Y.n - 1))) for i in range(X.n)}
+        pairs |= {(data.draw(st.integers(0, X.n - 1)), j) for j in range(Y.n)}
+        extra = st.tuples(st.integers(0, X.n - 1), st.integers(0, Y.n - 1))
+        pairs |= set(data.draw(st.lists(extra, max_size=6)))
+        self.check_from_correspondence(Correspondence(X, Y, tuple(pairs)))
+
+    @staticmethod
+    def check_from_correspondence(R):
+        w = rough_isometry_from_correspondence(R)
+        want = reference_rough_isometry_from_correspondence(R)
+        assert (w.map, w.eps_embed, w.eps_large) == (want.map, want.eps_embed, want.eps_large)
+        assert all(type(v) is int for v in w.map)
 
 
 class TestCompactnessFiniteScale:

@@ -1,8 +1,12 @@
+import contextlib
 import hashlib
+import io
+import itertools
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from dataclasses import asdict
 from pathlib import Path
@@ -30,6 +34,13 @@ from qmet.cli import MAX_MATRIX_POINTS, MAX_SAMPLES, build_parser, dispatch
 from qmet.errors import ParseError, QmetError, ValidationError
 from qmet.io import hull_to_obj, load_map, pair_to_obj
 from qmet.tolerances import ledger
+
+from helpers import (
+    qspaces,
+    reference_correspondence_from_rough_isometry,
+    reference_rough_inverse,
+    reference_rough_isometry_from_correspondence,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SCHEMA_DIR = SRC / "qmet" / "schemas"
@@ -620,3 +631,86 @@ class TestCLI:
         code, _, _ = self.run(capsys, "demo", "metric2", "--out", str(out))
         assert code == 0
         assert parse_space(out) == demo_space("metric2")
+
+    def test_rough_iso_reports_equal_the_oracles(self, capsys, demo_files, tmp_path):
+        # the report and the --witness file of every ordered demo pair, to
+        # the byte, against JSON built by hand from the replaced loops
+        wpath = tmp_path / "w.json"
+        for a, b in itertools.product(demo_files.values(), repeat=2):
+            A, B = parse_space(a), parse_space(b)
+            w = reference_rough_isometry_from_correspondence(gh_exact(A, B).correspondence)
+            R = reference_correspondence_from_rough_isometry(w)
+            witness = {
+                "map": list(w.map),
+                "eps_embed": w.eps_embed,
+                "eps_large": w.eps_large,
+                "eps": w.eps,
+                "correspondence": [list(p) for p in R.pairs],
+            }
+            inverse = asdict(reference_rough_inverse(w))
+            report = {"command": "rough-iso", **witness, "inverse": inverse, "tolerances": ledger()}
+            code, out, _ = self.run(capsys, "rough-iso", a, b, "--json", "--witness", str(wpath))
+            assert code == 0
+            assert out == json.dumps(report, indent=2) + "\n"
+            assert wpath.read_text() == json.dumps(witness, indent=2)
+
+    def test_ledger_reports_the_tol_in_force(self, capsys, tmp_path):
+        # an excess of 0.1 passes at --tol 0.5, and both reports say 0.5
+        p = tmp_path / "bent.json"
+        p.write_text('{"d": [[0, 1, 2.1], [1, 0, 1], [1, 1, 0]]}')
+        assert self.run(capsys, "validate", str(p))[0] == 2
+        at_half = {**ledger(), "tau_tri": 0.5}
+        code, payload = self.check_json(capsys, "validate", "validate", str(p), "--tol", "0.5", "--json")
+        assert code == 0 and payload["tolerances"] == at_half == ledger(0.5)
+        line = "tolerances: " + " ".join(f"{k}={v:.12g}" for k, v in at_half.items())
+        code, out, _ = self.run(capsys, "validate", str(p), "--tol", "0.5")
+        assert code == 0 and out.splitlines()[-1] == line
+        # default runs, and demo, which reads no --tol, report ledger() itself
+        p.write_text('{"d": [[0, 1], [1, 0]]}')
+        line = "tolerances: " + " ".join(f"{k}={v:.12g}" for k, v in ledger().items())
+        for argv in (["validate", str(p)], ["demo", "line3"]):
+            code, out, _ = self.run(capsys, *argv, "--json")
+            assert code == 0 and json.loads(out)["tolerances"] == ledger()
+            assert self.run(capsys, *argv)[1].splitlines()[-1] == line
+
+
+# files the witness commands read: valid spaces, tie-heavy ones, and
+# matrices with small, huge, negative and non-finite entries
+WITNESS_MATRICES = st.one_of(
+    qspaces(min_n=1, max_n=4).map(lambda X: X.d.tolist()),
+    qspaces(min_n=1, max_n=4, halves=True).map(lambda X: X.d.tolist()),
+    square_matrices(st.integers(-1, 3) | st.floats(0, 3) | st.floats(allow_nan=True)),
+)
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(WITNESS_MATRICES, min_size=2, max_size=2),
+    st.integers(1, 60),
+    st.booleans(),
+    st.data(),
+)
+def test_witness_commands_fail_typed(matrices, budget, as_json, data):
+    # rough-iso and gh --witness on random files: a report or a typed
+    # failure (exit 0, 2 or 3), never an escaping exception
+    n, m = map(len, matrices)
+    fitting = st.lists(st.integers(0, max(m - 1, 0)), min_size=n, max_size=n)
+    table = data.draw(st.none() | fitting | st.lists(st.integers(-1, 4) | JSON_VALUES, max_size=5))
+    with tempfile.TemporaryDirectory() as tmp:
+        left, right, mpath, wpath = (
+            os.path.join(tmp, name) for name in ("x.json", "y.json", "map.json", "w.json")
+        )
+        for path, d in zip((left, right), matrices):
+            Path(path).write_text(json.dumps({"d": d}))
+        runs = [
+            ["gh", left, right, "--budget", str(budget), "--witness", wpath],
+            ["rough-iso", left, right],
+        ]
+        if table is not None:
+            Path(mpath).write_text(json.dumps({"map": table}))
+            runs.append(["rough-iso", left, right, "--map", mpath, "--witness", wpath])
+        for argv in runs:
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                code = dispatch(argv + ["--json"] * as_json)
+            assert code in (0, 2, 3)

@@ -67,9 +67,9 @@ def test_point_axis_leads():
     assert found == []
 
 
-def _owned_calls(path):
-    """(enclosing function, called name) for every call in a module; a call
-    belongs to the innermost function around it ("<module>" at top level)."""
+def _owned_nodes(path):
+    """(enclosing function, node) for every node in a module; a node belongs
+    to the innermost function around it ("<module>" at top level)."""
     todo = [(f"{path.stem}.<module>", ast.parse(path.read_text()))]
     while todo:
         owner, node = todo.pop()
@@ -77,10 +77,15 @@ def _owned_calls(path):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 todo.append((f"{path.stem}.{child.name}", child))
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                yield owner, getattr(func, "id", getattr(func, "attr", None))
+            yield owner, child
             todo.append((owner, child))
+
+
+def _owned_calls(path):
+    """(enclosing function, called name) for every call in a module."""
+    for owner, node in _owned_nodes(path):
+        if isinstance(node, ast.Call):
+            yield owner, getattr(node.func, "id", getattr(node.func, "attr", None))
 
 
 def test_every_projection_is_a_retraction():
@@ -159,6 +164,20 @@ def test_schemas_list_the_ledger():
     for name, block in blocks.items():
         assert sorted(block["required"]) == keys, name
         assert sorted(block["properties"]) == keys, name
+
+
+def test_one_witness_serializer():
+    # a rough-isometry witness becomes JSON in io.witness_to_obj alone: the
+    # gh and rough-iso --witness files and rough-iso's report share it, so no
+    # second hand-built witness payload can drift from the first
+    found = sorted(
+        owner
+        for path in sorted(SRC.glob("*.py"))
+        for owner, node in _owned_nodes(path)
+        if isinstance(node, ast.Dict)
+        and any(isinstance(k, ast.Constant) and k.value == "eps_embed" for k in node.keys)
+    )
+    assert found == ["io.witness_to_obj"]
 
 
 def test_only_dispatch_prints_in_cli():
