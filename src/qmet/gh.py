@@ -89,7 +89,8 @@ def _distortion(wx: np.ndarray, wy: np.ndarray, a, b) -> float:
     worst = 0.0
     with np.errstate(over="ignore"):
         for s in row_blocks(len(a), 3 * len(a)):
-            T = wx.take(a[s], 0).take(a, 1) - wy.take(b[s], 0).take(b, 1)
+            T = wx.take(a[s], 0).take(a, 1)
+            np.subtract(T, wy.take(b[s], 0).take(b, 1), out=T)
             worst = max(worst, T.max(), -T.min())
     return float(worst)
 

@@ -10,6 +10,9 @@ DEDUP_TOL of each other by sorting them on one weighted projection
 (``_projector``) and comparing only rows whose projections are close
 (``_near_rows``, ``_close_pairs``).  ``HullSample.points`` builds an
 ``AmplePair`` only when a point is read.
+
+``net_gh_upper`` builds each net matrix in one pass over unordered pairs
+(``_net_matrix``) and snaps by the f1 gap first (``_snap``), exactly.
 """
 
 from __future__ import annotations
@@ -293,18 +296,18 @@ def _retract_rows(d: np.ndarray, G: np.ndarray) -> np.ndarray:
     return P
 
 
-def _sup_blocks(P: np.ndarray, Q: np.ndarray, absolute: bool = False):
+def _sup_blocks(P: np.ndarray, Q: np.ndarray):
     """Yield (s, G) over the row blocks s of the (rows, m) matrix
-    G[i, j] = max(0, max_k P[i, k] - Q[j, k]), or of max_k |P[i, k] - Q[j, k]|
-    when ``absolute``, for P of shape (rows, K) and Q of shape (m, K).
+    G[i, j] = max_k |P[i, k] - Q[j, k]|, for P of shape (rows, K) and Q of
+    shape (m, K): the sup-norm gaps that ``_snap`` reduces.
 
     G and one buffer T, each (block, m), are live at once, so the blocks
     are ``pairs.row_blocks`` at 2 m floats a row.  G starts at 0 and takes
-    the running maximum over k of one subtraction into T, read from
-    contiguous transposed copies of P and Q.  max is exact, so every entry
-    is the same float as a reduction over one (K, rows, m) stack.  The next
-    block reuses G.  The net matrices and the snapping run here; the
-    distortion of the nets' relation runs in ``gh._distortion``.
+    the running maximum over k of |T|, read from contiguous transposed
+    copies of P and Q.  T is filled with the column P[s, k] and the row
+    Q[:, k] is subtracted in place: the same floats as one broadcast
+    subtraction, which numpy runs slower.  max is exact, so every entry is
+    the same float as a reduction over one (K, rows, m) stack.
     """
     PT, QT = np.ascontiguousarray(P.T), np.ascontiguousarray(Q.T)
     blocks = row_blocks(len(P), 2 * len(Q))  # the slabs G and T
@@ -314,10 +317,9 @@ def _sup_blocks(P: np.ndarray, Q: np.ndarray, absolute: bool = False):
         Gs, Ts = G[:rows], T[:rows]
         Gs.fill(0.0)
         for p, q in zip(PT, QT):
-            np.subtract(p[s, None], q, out=Ts)
-            if absolute:
-                np.abs(Ts, out=Ts)
-            np.maximum(Gs, Ts, out=Gs)
+            Ts[:] = p[s, None]
+            np.subtract(Ts, q, out=Ts)
+            np.maximum(Gs, np.abs(Ts, out=Ts), out=Gs)
         yield s, Gs
 
 
@@ -327,16 +329,59 @@ def _net_matrix(H: HullSample) -> np.ndarray:
     With the coordinates P = (f1, -f2) of each point f, D(f, g) is
     max(0, max_k P[f, k] - P[g, k]): negation is exact, so -f2(k) + g2(k)
     rounds as g2(k) - f2(k) does, and each entry is the same float as
-    ``dquasi`` gives.  Built in row blocks by ``_sup_blocks``.
+    ``dquasi`` gives.
+
+    One pass serves each unordered pair: the row blocks s of
+    ``pairs.row_blocks`` (three slabs T, up and down of m floats a row) meet
+    the columns j >= s.start, and each difference T = P[i, k] - P[j, k],
+    built as in ``_sup_blocks``, feeds both directions, as fl(a - b) =
+    -fl(b - a) exactly.  A running max from 0 gives D[i, j] and a running min
+    from 0 gives D[j, i] = 0.0 - min(0, min_k T): a subtraction from +0.0,
+    not a negation, so that no entry is -0.0.  The square where a block's
+    rows meet their own columns is written from both sides, with equal floats.
     """
     F1, F2 = H.arrays
-    P = np.concatenate([F1, -F2], axis=1)
-    D = np.empty((len(P), len(P)))
-    for s, G in _sup_blocks(P, P):
-        D[s] = G
+    PT = np.concatenate([F1, -F2], axis=1).T.copy()
+    m = PT.shape[1]
+    D = np.empty((m, m))
+    blocks = row_blocks(m, 3 * m)  # the slabs T, up and down
+    buf = np.empty((3, min(blocks[0].stop, m) * m))
+    for s in blocks:
+        rows, cols = len(PT[0, s]), m - s.start
+        T, up, down = (b[: rows * cols].reshape(rows, cols) for b in buf)
+        buf[1:].fill(0.0)  # up and down
+        for p in PT:
+            T[:] = p[s, None]
+            np.subtract(T, p[s.start :], out=T)
+            np.maximum(up, T, out=up)
+            np.minimum(down, T, out=down)
+        D[s, s.start :] = up
+        D[s.start :, s] = np.subtract(0.0, down, out=down).T
     n = H.space.n
     D[:n, :n] = H.space.d
     return D
+
+
+def _snap(P: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """For each row (p1, p2) of P, the index of the Dsym-nearest point of the
+    net F = (F1, F2), the lowest on ties: ``dsym(P1, P2, F1, F2).argmin(1)``.
+
+    Dsym is max(f1 gap, f2 gap) over the same floats, so the f1 gap L is an
+    exact lower bound.  j = L[i].argmin() is the answer whenever the f2 gap
+    of j is at most L[i, j]: every point is at least as far in f1, and every
+    earlier point strictly farther.  On hull points the two gaps agree in
+    exact arithmetic, so only the few other rows take a second pass, over
+    all 2n coordinates and in the row blocks of ``_sup_blocks`` too.
+    """
+    (F1, F2), (P1, P2) = F, np.hsplit(P, 2)
+    nearest = np.empty(len(P), dtype=np.intp)
+    for s, G in _sup_blocks(P1, F1):
+        G.argmin(axis=1, out=nearest[s])
+    rows = np.flatnonzero(np.abs(P2 - F2[nearest]).max(1) > np.abs(P1 - F1[nearest]).max(1))
+    if len(rows):
+        for s, G in _sup_blocks(P[rows], np.concatenate(F, axis=1)):
+            nearest[rows[s]] = G.argmin(axis=1)
+    return nearest
 
 
 def hull_as_qspace(H: HullSample) -> QSpace:
@@ -379,23 +424,17 @@ def net_gh_upper(HX: HullSample, HY: HullSample) -> float:
     nets by construction.  LengthMismatch when the index sets differ.
 
     Every kernel runs in the row blocks of ``pairs.row_blocks``.  The
-    snapping retracts at n * n floats a row and takes each row's argmin in
-    the 2-D blocks of ``_sup_blocks``, which also builds the net matrices.
-    The distortion of the relation {(i, phi i)} + {(psi j, j)} is
+    snapping retracts at n * n floats a row and snaps f1 first (``_snap``);
+    each net matrix is one pass over unordered pairs (``_net_matrix``).  The
+    distortion of the relation {(i, phi i)} + {(psi j, j)} is
     ``gh._distortion``, which makes no m x m gather.
     """
     if HX.space.n != HY.space.n:
         raise LengthMismatch("net GH bound requires spaces on the same index set")
     pad = float(np.abs(HX.space.d - HY.space.d).max()) / 2.0
 
-    def snapped(source: HullSample, target: HullSample) -> np.ndarray:
-        P = _retract_rows(target.space.d, source.arrays[0] + pad)
-        nearest = np.empty(len(P), dtype=np.intp)
-        for s, G in _sup_blocks(P, np.concatenate(target.arrays, axis=1), absolute=True):
-            G.argmin(axis=1, out=nearest[s])
-        return nearest
-
-    phi, psi = snapped(HX, HY), snapped(HY, HX)
+    phi = _snap(_retract_rows(HY.space.d, HX.arrays[0] + pad), HY.arrays)
+    psi = _snap(_retract_rows(HX.space.d, HY.arrays[0] + pad), HX.arrays)
     a = np.concatenate((np.arange(len(phi)), psi))
     b = np.concatenate((phi, np.arange(len(psi))))
     return _distortion(_net_matrix(HX), _net_matrix(HY), a, b) / 2.0

@@ -112,6 +112,12 @@ def brute_gh(X, Y):
     return best / 2.0
 
 
+def same_bits(A, B):
+    """Equal shapes and bit patterns; np.array_equal takes -0.0 for +0.0."""
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    return A.shape == B.shape and np.array_equal(A.view(np.uint64), B.view(np.uint64))
+
+
 def rng_spaces(count, n, seed, scale=1.0, symmetric=False):
     rng = np.random.default_rng(seed)
     return [random_qspace(n, rng, scale=scale, symmetric=symmetric) for _ in range(count)]

@@ -20,7 +20,7 @@ from qmet import (
 )
 from qmet import pairs
 from qmet.errors import LengthMismatch, QmetError, ValidationError
-from qmet.hull import HullSample, _net_matrix, _retract_rows
+from qmet.hull import HullSample, _net_matrix, _retract_rows, _snap
 from qmet.io import hull_to_obj
 from qmet.pairs import AmplePair, dsym, embed_point, is_ample, row_blocks
 from helpers import (
@@ -29,6 +29,7 @@ from helpers import (
     reference_net_gh_upper,
     reference_net_matrix,
     reference_sample_hull,
+    same_bits,
 )
 
 S = demo_space("sierpinski")
@@ -193,6 +194,62 @@ class TestNetGHUpper:
             net_gh_upper(HX, HY)
 
 
+class TestSnap:
+    """The snapping looks at the f1 gaps first and takes the pass over all
+    2n coordinates only for rows whose f1-nearest point is farther in f2.
+    The hand-built targets below sit on metric2 and snap its two point
+    embeddings, the rows (0, 1 | 0, 1) and (1, 0 | 1, 0)."""
+
+    HX = sample_hull(M2, 0)
+
+    @pytest.mark.parametrize(
+        "rows, f1_nearest, want",
+        [
+            # the f1-nearest point is not the Dsym-nearest, for both rows
+            ([[(0, 1), (0.5, 1.5)], [(0.125, 1.125), (0.125, 1.125)]], [0, 0], [1, 1]),
+            # row 0 ties exactly in Dsym, at 0.5, and the lower index wins
+            # over the f1-nearest; row 1 ties in both gaps
+            ([[(0.5, 1), (0, 1)], [(0, 1), (0.5, 1)]], [1, 0], [0, 0]),
+            # each source row lands on a target point; before the first, a
+            # point with the same f1 and another f2
+            ([[(0, 1), (0.25, 1)], [(0, 1), (0, 1)], [(1, 0), (1, 0)]], [0, 2], [1, 2]),
+        ],
+    )
+    def test_hand_built_targets(self, rows, f1_nearest, want):
+        HY = HullSample(M2, tuple(AmplePair(M2, f1, f2) for f1, f2 in rows), 0, 0.0)
+        P = _retract_rows(M2.d, self.HX.arrays[0])
+        assert P.tolist() == [[0, 1, 0, 1], [1, 0, 1, 0]]
+        F1, F2 = HY.arrays
+        assert np.abs(P[:, None, :2] - F1).max(axis=2).argmin(axis=1).tolist() == f1_nearest
+        assert dsym(P[:, None, :2], P[:, None, 2:], F1, F2).argmin(axis=1).tolist() == want
+        assert _snap(P, HY.arrays).tolist() == want
+        assert net_gh_upper(self.HX, HY) == reference_net_gh_upper(self.HX, HY)
+
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 30),
+        st.integers(1, 30),
+        st.integers(0, 2 ** 31 - 1),
+        st.booleans(),
+        st.sampled_from([1, 200, 1 << 16]),
+    )
+    def test_matches_dsym_argmin(self, n, rows, m, seed, ties, elements):
+        # random nets and rows, halves for ties, some rows copies of net
+        # points, and row blocks of one row, of a few rows and of all rows
+        rng = np.random.default_rng(seed)
+        F = rng.uniform(0.0, 2.0, (2, m, n))
+        P = rng.uniform(0.0, 2.0, (rows, 2 * n))
+        if ties:
+            F, P = np.round(2.0 * F) / 2.0, np.round(2.0 * P) / 2.0
+        copies = rng.integers(0, m, rows)
+        on = rng.random(rows) < 0.3
+        P[on] = np.concatenate(F, axis=1)[copies[on]]
+        want = dsym(P[:, None, :n], P[:, None, n:], F[0], F[1]).argmin(axis=1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pairs, "BLOCK_ELEMENTS", elements)
+            assert np.array_equal(_snap(P, F), want)
+
+
 def test_pinned_net():
     # every net point and the spread, with the generator drawing the fresh
     # candidates, then the bases, then the bumps; reference_sample_hull agrees
@@ -287,7 +344,7 @@ class TestAgainstReference:
             blocks = row_blocks(rows, slabs * m)
             assert len(blocks) > 1 and blocks[-1].stop > rows
         for H in (HX, HY):
-            assert np.array_equal(_net_matrix(H), reference_net_matrix(H))
+            assert same_bits(_net_matrix(H), reference_net_matrix(H))
         assert net_gh_upper(HX, HY) == reference_net_gh_upper(HX, HY)
 
     def test_pinned_bound_matches(self):

@@ -714,3 +714,47 @@ def test_witness_commands_fail_typed(matrices, budget, as_json, data):
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                 code = dispatch(argv + ["--json"] * as_json)
             assert code in (0, 2, 3)
+
+
+# option values: in range, out of range, non-numeric and empty
+OPTION_VALUES = st.integers(-2, 30).map(str) | st.sampled_from(["", "x", "0.5", "nan", "1e400"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    WITNESS_MATRICES,
+    st.none() | st.lists(st.integers(-1, 4) | JSON_VALUES, max_size=5),
+    OPTION_VALUES,
+    OPTION_VALUES,
+    st.sampled_from(["0", "1e-9", "0.5", "-1", "nan", "inf", "x"]),
+    st.sampled_from(["conjugate", "symmetrize", "junk"]),
+    st.sampled_from(["list", "sierpinski", "line3", "metric2", "runit5", "nope"]),
+    st.booleans(),
+)
+def test_space_commands_fail_typed(d, table, samples, seed, tol, mode, name, as_json):
+    # the six other commands on random files, maps and option values: a
+    # report or a typed failure (exit 0, 2 or 3), never an escaping
+    # exception; argparse refuses bad option values with exit 2
+    with tempfile.TemporaryDirectory() as tmp:
+        space, mpath, out = (os.path.join(tmp, f) for f in ("x.json", "map.json", "out.json"))
+        Path(space).write_text(json.dumps({"d": d}))
+        identity = list(range(len(d)))
+        Path(mpath).write_text(json.dumps({"map": identity if table is None else table}))
+        runs = [
+            ["validate", space, "--tol", tol],
+            ["transform", space, "--mode", mode, "--out", out],
+            ["hull", space, "--samples", samples],
+            ["hull", space, "--seed", seed, "--matrix", "--out", out],
+            ["delta", space, "--samples", samples],
+            ["delta", space, "--restarts", seed, "--seed", seed],
+            ["fixpoint", space, "--map", mpath, "--tol", tol],
+            ["demo", name, "--out", out],
+        ]
+        for argv in runs:
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                try:
+                    code = dispatch(argv + ["--json"] * as_json)
+                except SystemExit as err:
+                    code = err.code
+            assert code in (0, 2, 3), argv

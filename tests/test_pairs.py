@@ -45,6 +45,7 @@ from helpers import (
     reference_flat,
     reference_net_matrix,
     reference_star,
+    same_bits,
 )
 
 S = demo_space("sierpinski")
@@ -376,7 +377,8 @@ class TestRetraction:
 
 class TestKernelLayout:
     """The kernel reduces over a leading point axis; on every shape the
-    library passes it, it must equal the trailing-axis formulas bit for bit."""
+    library passes it, it must equal the trailing-axis formulas bit for bit,
+    and the net matrix must match signed zeros too."""
 
     @given(
         st.integers(1, 12),
@@ -384,14 +386,15 @@ class TestKernelLayout:
         st.integers(0, 20),
         st.integers(0, 2 ** 31 - 1),
         st.booleans(),
+        st.sampled_from([1.0, 1e-300, 1e300]),
     )
-    def test_matches_trailing_axis_reference(self, n, b, t, seed, ties):
+    def test_matches_trailing_axis_reference(self, n, b, t, seed, ties, scale):
         rng = np.random.default_rng(seed)
 
         def draw(*shape):
             a = rng.uniform(-1.0, 3.0, shape)
             # halves give ties and signed zeros in the differences
-            return np.round(2.0 * a) / 2.0 if ties else a
+            return scale * (np.round(2.0 * a) / 2.0 if ties else a)
 
         d = draw(n, n)
         for F in (draw(n), draw(b, n)):
@@ -411,4 +414,4 @@ class TestKernelLayout:
         X = random_qspace(n, rng)
         F1, F2 = draw(n + b, n), draw(n + b, n)
         H = HullSample(X, tuple(AmplePair(X, *f) for f in zip(F1, F2)), seed, 0.0)
-        assert np.array_equal(_net_matrix(H), reference_net_matrix(H))
+        assert same_bits(_net_matrix(H), reference_net_matrix(H))
