@@ -5,10 +5,11 @@ here only by certified finite nets: the canonical point embeddings plus
 retracted random candidates.  Nets are deterministic given (space, k, seed).
 
 A net is kept as one array from draw to return.  Its candidates are
-deduplicated a batch at a time by ``_keep``, which finds the rows within
-DEDUP_TOL of each other by sorting them on one weighted projection
-(``_projector``) and comparing only rows whose projections are close
-(``_near_rows``, ``_close_pairs``).  ``HullSample.points`` builds an
+deduplicated a batch at a time by ``_keep``, at the space's rounding level
+``slack(0.0, diam)`` = 4 eps diam, so the net of cX is c times the net of X.
+One sweep (``_close_pairs``) finds the rows within that of each other by
+sorting them on one weighted projection (``_projector``) and comparing only
+rows whose projections are close.  ``HullSample.points`` builds an
 ``AmplePair`` only when a point is read.
 
 ``net_gh_upper`` builds each net matrix in one pass over unordered pairs
@@ -26,7 +27,7 @@ from .errors import LengthMismatch, SizeOverflow
 from .gh import _distortion
 from .pairs import AmplePair, embed_point, residual, retract_points, row_blocks
 from .space import QSpace
-from .tolerances import DEDUP_TOL, TRIANGLE_TOL, slack
+from .tolerances import TRIANGLE_TOL, slack
 
 PERTURB_RADIUS_FACTOR = 0.25
 _PHI = (5.0 ** 0.5 - 1.0) / 2.0  # the projection weights are 1 + (k phi mod 1)
@@ -111,10 +112,13 @@ def sample_hull(X: QSpace, k: int, seed: int = 0) -> HullSample:
     (first).  The kept points form one pool of rows (f1, f2).
 
     One dedup rule serves every candidate, fresh or perturbed, in draw
-    order: it is kept when no earlier kept point lies within DEDUP_TOL of it
-    in sym-distance.  Each half is deduplicated as one batch by ``_keep``,
-    which finds the near pairs by a sorted sweep rather than comparing each
-    candidate with the pool, and then applies the rule to those pairs alone.
+    order: it is kept when no earlier kept point lies within tol =
+    ``slack(0.0, diam)`` = 4 eps diam of it in sym-distance.  That level
+    scales with the space, so scaling X by a power of two scales the net,
+    spread and residuals exactly.  Each half is deduplicated as one batch
+    by ``_keep``, which finds the near pairs by a sorted sweep rather than
+    comparing each candidate with the pool, and then applies the rule to
+    those pairs alone.
     ``spread`` is the least sym-distance between two points of the final
     net, found by the same sweep.  Residuals are measured once, at the end,
     for the kept points only, in the same row blocks.  The points are
@@ -134,12 +138,12 @@ def sample_hull(X: QSpace, k: int, seed: int = 0) -> HullSample:
     pool[:n, :n], pool[:n, n:] = d, d.T  # the embeddings x -> (d(x, .), d(., x))
     m, R = n, X.diam
     if k > 0 and R > 0.0:
-        n_fresh = (k + 1) // 2
-        m = _keep(pool, m, _retract_rows(d, rng.uniform(0.0, 2.0 * R, size=(n_fresh, n))))
+        n_fresh, tol = (k + 1) // 2, slack(0.0, R)
+        m = _keep(pool, m, _retract_rows(d, rng.uniform(0.0, 2.0 * R, size=(n_fresh, n))), tol)
         bases = pool[rng.integers(0, m, size=k - n_fresh), :n]
         radius = PERTURB_RADIUS_FACTOR * R
         bumps = rng.uniform(-radius, radius, size=bases.shape)
-        m = _keep(pool, m, _retract_rows(d, np.maximum(bases + bumps, 0.0)))
+        m = _keep(pool, m, _retract_rows(d, np.maximum(bases + bumps, 0.0)), tol)
 
     F = np.ascontiguousarray(pool[:m].reshape(m, 2, n).transpose(1, 0, 2))
     tols = [p.certified_tol for p in embeddings]
@@ -150,33 +154,30 @@ def sample_hull(X: QSpace, k: int, seed: int = 0) -> HullSample:
     return HullSample(X, NetPoints(X, F, [True] * m, tols, embeddings), seed, spread)
 
 
-def _keep(pool: np.ndarray, m: int, C: np.ndarray) -> int:
+def _keep(pool: np.ndarray, m: int, C: np.ndarray, tol: float) -> int:
     """Append to the pool, after its m kept rows, the rows of C that the
     dedup rule keeps, in draw order; returns the new count of kept rows.
 
     A dropped row changes no other decision, so the rule needs only the
-    pairs within DEDUP_TOL.  C is taken in chunks of
-    ``row_blocks(len(C), 64)`` rows (1,024 at the default block size), in
-    draw order.  First each row within DEDUP_TOL of a kept row is dropped
-    (``_near_rows``): every copy of a kept row, and most candidates where
-    the hull is small next to DEDUP_TOL.  The chunk's other rows are then
-    decided among themselves, in draw order, from the pairs that
-    ``_close_pairs`` finds.  A copy of an earlier row (distance 0) is
-    dropped: its earlier twin is kept or lies within DEDUP_TOL of an earlier
-    kept row, and either way so does the copy.  Any other row is kept unless
-    an earlier kept row pairs with it.  The chunks bound the sweep at
-    1,024^2 / 2 distances, even where all of a chunk's rows share a window.
+    pairs within tol.  C is taken in chunks of ``row_blocks(len(C), 64)``
+    rows (1,024 at the default block size), in draw order, and each chunk is
+    swept by ``_close_pairs`` together with the kept rows ahead of it.  Pairs
+    of two kept rows are skipped.  A copy of an earlier row (distance 0) is
+    dropped: its earlier twin is kept or lies within tol of an earlier kept
+    row, and either way so does the copy.  Any other row is dropped when an
+    earlier kept row pairs with it, and kept otherwise.
     """
     for s in row_blocks(len(C), 64):
-        B = C[s][~_near_rows(pool[:m], C[s])]
-        a, b, gaps = _close_pairs(B, DEDUP_TOL)
+        A = np.concatenate([pool[:m], C[s]])
+        a, b, gaps = _close_pairs(A, tol)
         i, j = np.minimum(a, b), np.maximum(a, b)
-        keep = np.ones(len(B), dtype=bool)
+        keep = np.ones(len(A), dtype=bool)
         order = np.argsort(j, kind="stable")
+        order = order[j[order] >= m]
         for ii, jj, g in zip(i[order].tolist(), j[order].tolist(), gaps[order].tolist()):
             if g == 0.0 or keep[ii]:  # keep[ii] is final: (., ii) came before
                 keep[jj] = False
-        kept = B[keep]
+        kept = A[m:][keep[m:]]
         pool[m : m + len(kept)] = kept
         m += len(kept)
     return m
@@ -213,34 +214,6 @@ def _projector(top: float, K: int):
     return w, lambda limit: scale * limit + margin
 
 
-def _near_rows(P: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Which rows of B lie within DEDUP_TOL of a row of P, both (rows, K)
-    arrays >= 0.  The rows of P are sorted by the projection of
-    ``_projector``; each row of B is compared, with the point axis leading,
-    with the rows of P in its window in that order, until one is within
-    DEDUP_TOL."""
-    w, window = _projector(max(P.max(initial=0.0), B.max(initial=0.0)), P.shape[1])
-    sP = P @ w
-    order = np.argsort(sP)
-    sP, S = sP[order], P.T.take(order, axis=1)
-    sB = B @ w
-    r = window(DEDUP_TOL)
-    lo = np.searchsorted(sP, sB - r, "left")
-    hi = np.searchsorted(sP, sB + r, "right")
-    BT = np.ascontiguousarray(B.T)
-    near = np.zeros(len(B), dtype=bool)
-    live = np.flatnonzero(hi > lo)
-    for o in range(len(P)):
-        live = live[lo[live] + o < hi[live]]
-        if not len(live):
-            break
-        D = BT[:, live] - S[:, lo[live] + o]
-        far = np.abs(D, out=D).max(axis=0) > DEDUP_TOL
-        near[live[~far]] = True
-        live = live[far]
-    return near
-
-
 def _close_pairs(A: np.ndarray, limit: float, shrink: bool = False):
     """The pairs of rows of A, a (rows, K) array >= 0, within sym-distance
     ``limit``: index arrays a and b and their distances.  With ``shrink`` the
@@ -255,7 +228,10 @@ def _close_pairs(A: np.ndarray, limit: float, shrink: bool = False):
     s[p + o] - s[p] is within the window, and the pair's distance is
     computed with the point axis leading.  A row outside the window at
     offset o is outside it at every larger offset, so it leaves the sweep,
-    which ends when no row is live.
+    which ends when no row is live.  The window is a fixed multiple of
+    limit / 2^e with 2^e just above the largest entry, plus a margin fixed in
+    those units, so a limit that scales with A gives the same sweep at
+    every power-of-two scale: ``_keep`` sweeps at 4 eps diam.
     """
     w, window = _projector(A.max(initial=0.0), A.shape[1])
     s = A @ w

@@ -23,7 +23,7 @@ from qmet.pairs import (
     retract_points,
     star,
 )
-from qmet.tolerances import AMPLE_TOL, DEDUP_TOL, slack
+from qmet.tolerances import AMPLE_TOL, slack
 
 
 @st.composite
@@ -315,7 +315,8 @@ def reference_sample_hull(X, k, seed=0):
     candidate at a time against the whole pool, each perturbed candidate
     retracted on its own, a residual and an AmplePair per candidate, and the
     spread from the full (m, m, n) gap stack.  The generator draws as
-    ``sample_hull`` does: the fresh g, then the bases, then the bumps."""
+    ``sample_hull`` does: the fresh g, then the bases, then the bumps, and a
+    candidate merges at the same level, ``slack(0.0, diam)``."""
     if k < 0:
         raise ValueError("k must be >= 0")
     rng = np.random.default_rng(seed)
@@ -325,10 +326,11 @@ def reference_sample_hull(X, k, seed=0):
     B1[: X.n] = np.stack([p.f1 for p in points])
     B2[: X.n] = np.stack([p.f2 for p in points])
     R = X.diam
+    tol = slack(0.0, R)
 
     def try_add(f1, f2, res):
         m = len(points)
-        if dsym(B1[:m], B2[:m], f1, f2).min() > DEDUP_TOL:
+        if dsym(B1[:m], B2[:m], f1, f2).min() > tol:
             points.append(
                 AmplePair(X, f1, f2, certified_minimal=True, certified_tol=float(res))
             )

@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 from qmet import (
     BallFamily,
     QSpace,
+    conjugate,
     demo_space,
     distance_to_embedding,
     embed_point,
@@ -255,8 +256,6 @@ class TestDeltaEstimate:
 
     def test_rough_isometry_quasi_invariance_at_zero_eps(self):
         # conjugation is an isometry onto the conjugate space; estimates agree
-        from qmet import conjugate
-
         a = estimate_delta(S, samples=150)
         b = estimate_delta(conjugate(S), samples=150)
         assert abs(a.lower - b.lower) <= 5 * 0.0 / 2 + 0.05
@@ -278,6 +277,15 @@ class TestDeltaBracket:
         assert est.lower <= oracles.delta_grid_upper(X.d, 9) + tol
         G = np.random.default_rng(X.n).uniform(0.0, X.diam, (2000, X.n))
         assert oracles.embedding_gaps(X.d, *oracles.retract(X.d, G)).max() <= est.upper + tol
+
+    @given(SMALL_SPACES)
+    @settings(max_examples=20)
+    def test_brackets_of_a_space_and_its_conjugate_meet(self, X):
+        # the hull of X* is the hull of X with f1 and f2 swapped, and the
+        # sym-distance to the embeddings is unchanged, so delta(X*) = delta(X)
+        # lies in both certified brackets
+        a, b = estimate_delta(X, samples=300), estimate_delta(conjugate(X), samples=300)
+        assert max(a.lower, b.lower) <= min(a.upper, b.upper)
 
     @pytest.mark.parametrize("name", ["runit5", "sierpinski"])
     def test_evaluation_in_chunks_changes_nothing(self, monkeypatch, name):

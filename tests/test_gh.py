@@ -10,6 +10,7 @@ import hypothesis.strategies as st
 from qmet import (
     Correspondence,
     QSpace,
+    conjugate,
     correspondence_from_rough_isometry,
     demo_space,
     distortion,
@@ -163,6 +164,16 @@ class TestGHExact:
             assert gh_exact(A, B).value == pytest.approx(
                 gh_exact(B, A).value, abs=1e-12
             )
+
+    @given(st.one_of(qspaces(max_n=5), qspaces(max_n=5, halves=True)), qspaces(max_n=5))
+    @settings(max_examples=30)
+    def test_order_and_conjugation_keep_the_value(self, X, Y):
+        # every search minimises over the same floats |wx - wy| (fl(a - b) =
+        # -fl(b - a), and conjugation transposes both sides), so GH(X, Y),
+        # GH(Y, X) and GH(X*, Y*) are one float when all three are exact
+        a, b, c = gh_exact(X, Y), gh_exact(Y, X), gh_exact(conjugate(X), conjugate(Y))
+        assert a.exact and b.exact and c.exact
+        assert a.value == b.value == c.value
 
     def test_matches_enumeration_oracle(self):
         spaces = rng_spaces(6, 3, seed=100) + rng_spaces(2, 2, seed=7)

@@ -10,6 +10,8 @@ import hypothesis.strategies as st
 from qmet import (
     QSpace,
     demo_space,
+    estimate_delta,
+    gh_exact,
     hull_as_qspace,
     in_hull,
     is_isometric,
@@ -329,16 +331,17 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("n, k", [(16, 350), (40, 400), (64, 300)])
     def test_net_kernels_of_several_blocks_match(self, n, k):
-        # nets of different sizes, so that every kernel of the bound (both
-        # net matrices, both snappings and the distortion of the relation of
-        # mx + my pairs) spans several 2-D row blocks and ends in a short one
+        # nets of different sizes, so that every kernel of the bound (the pair
+        # pass of both net matrices, both snappings and the distortion of the
+        # relation of mx + my pairs) spans several 2-D row blocks and ends in
+        # a short one
         rng = np.random.default_rng(1500 + n)
         X = random_qspace(n, rng)
         Y = perturbed_space(X, rng, 0.08 * X.diam)
         HX, HY = sample_hull(X, k, seed=n), sample_hull(Y, k - 37, seed=n + 1)
         mx, my = len(HX.points), len(HY.points)
         assert mx != my
-        spans = [(rows, 2, m) for rows, m in ((mx, mx), (my, my), (mx, my), (my, mx))]
+        spans = [(mx, 3, mx), (my, 3, my), (mx, 2, my), (my, 2, mx)]
         spans += [(mx + my, 3, mx + my)]
         for rows, slabs, m in spans:
             blocks = row_blocks(rows, slabs * m)
@@ -356,8 +359,8 @@ class TestAgainstReference:
 
 
 class TestCopiesAndTies:
-    """Nets heavy in bitwise copies, in projection ties and in candidates
-    within DEDUP_TOL of each other, against the reference sampler."""
+    """Nets heavy in bitwise copies and in projection ties, and nets of
+    scaled spaces, against the reference sampler."""
 
     @pytest.mark.parametrize("name", ["sierpinski", "line3", "metric2", "runit5"])
     def test_demos(self, name):
@@ -372,11 +375,12 @@ class TestCopiesAndTies:
          (1e-7, 2000, None), (1e-7, 2000, 100)],
     )
     def test_random_spaces_at_scale(self, monkeypatch, scale, k, chunk):
-        # at 1e-300 every candidate is within DEDUP_TOL of an embedding; at
-        # 1e-8 and 1e-7 the hull is a few hundred DEDUP_TOL wide, so copies of
-        # dropped rows arrive and one window holds many rows; at 1e300 the
-        # projection must not overflow (a RuntimeWarning is an error here);
-        # with chunk, _keep takes the batches 100 rows at a time
+        # the dedup level is 4 eps diam, so a scaled net has as many points
+        # as the unit net and must match the oracle's: at 1e-300 that level
+        # is subnormal and the projection weights are scaled up by ~2^996,
+        # at 1e300 the projection must not overflow (a RuntimeWarning is an
+        # error here); with chunk, _keep takes the batches 100 rows at a
+        # time, so the kept rows ahead of a chunk span many earlier chunks
         if chunk:
             monkeypatch.setattr(pairs, "BLOCK_ELEMENTS", 64 * chunk)
         for seed in range(3):
@@ -388,6 +392,33 @@ class TestCopiesAndTies:
         X = QSpace(d)
         for k in (0, 1, 25):
             assert_same_net(sample_hull(X, k, seed=1), reference_sample_hull(X, k, seed=1))
+
+
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.integers(0, 400), st.integers(-600, 600))
+@settings(max_examples=30)
+def test_power_of_two_scaling_scales_every_output(n, seed, k, j):
+    # the hull of cX is c times the hull of X, and each level qmet works at
+    # scales with the space (the dedup level 4 eps diam, the projection's
+    # power-of-two weights, the bracket's slack), so at 2^j X every output
+    # is 2^j times the one at X, bit for bit; no entry below goes subnormal
+    # or overflows for |j| <= 600
+    rng = np.random.default_rng(seed)
+    X = random_qspace(n, rng)
+    Y = perturbed_space(X, rng, 0.08 * X.diam)
+
+    def outputs(X, Y):
+        HX, HY = sample_hull(X, k, seed), sample_hull(Y, k, seed + 1)
+        g, est = gh_exact(X, Y), estimate_delta(X)
+        values = [HX.arrays, HY.arrays, HX.spread, HY.spread, HX.points.tols, HY.points.tols]
+        values += [hull_as_qspace(HX).d, hull_as_qspace(HY).d, net_gh_upper(HX, HY)]
+        values += [g.value, est.lower, est.upper]
+        return values, (g.nodes, g.correspondence.pairs, est.boxes)
+
+    want, counts = outputs(X, Y)
+    got, scaled_counts = outputs(QSpace(np.ldexp(X.d, j)), QSpace(np.ldexp(Y.d, j)))
+    assert scaled_counts == counts
+    for a, b in zip(got, want):
+        assert same_bits(a, np.ldexp(b, j))
 
 
 def test_points_are_built_on_read(monkeypatch):

@@ -150,6 +150,17 @@ def test_hull_builds_pairs_only_on_read():
     assert found == {"hull.__getitem__"}
 
 
+def test_one_near_pair_sweep():
+    # hull nets merge at the space's own rounding level, slack(0.0, diam),
+    # and one sweep finds every near pair: the dedup rule's pairs of kept
+    # rows and candidates as well as the spread, so no absolute dedup
+    # constant and no second sweep come back
+    sweepers = {owner for owner, name in _owned_calls(SRC / "hull.py") if name == "_projector"}
+    assert sweepers == {"hull._close_pairs"}
+    paths = sorted(SRC.glob("*.py")) + [ROOT / "tests" / "helpers.py"]
+    assert [path.name for path in paths if "DEDUP_TOL" in path.read_text()] == []
+
+
 def test_schemas_list_the_ledger():
     # every --json envelope carries ledger() under "tolerances"; each schema
     # copies its keys by hand, so a key added to the ledger must reach them all
