@@ -32,6 +32,7 @@ from .errors import (
 )
 from .pairs import row_blocks
 from .space import QSpace, largeness_constant, map_table
+from .tolerances import TRIANGLE_TOL, slack
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -239,7 +240,8 @@ def glue_space(X: QSpace, Y: QSpace, R: Correspondence, eps: float) -> QSpace:
     symmetrically for d(y, x).  For eps >= distortion(R)/2 the result is a
     valid pseudo-quasi-metric in which the two copies sit at symmetrized
     Hausdorff distance exactly eps; below that threshold the triangle
-    inequality breaks and EpsTooSmall reports a violating triple.
+    inequality breaks and EpsTooSmall reports a violating triple.  The check
+    allows ``slack(TRIANGLE_TOL, M)`` for rounding, M the largest entry.
     """
     a, b = np.array(R.pairs).T
     xy = (X.d[:, a][:, :, None] + Y.d[b, :][None, :, :]).min(axis=1) + eps
@@ -247,7 +249,7 @@ def glue_space(X: QSpace, Y: QSpace, R: Correspondence, eps: float) -> QSpace:
     Z = np.block([[X.d, xy], [yx, Y.d]])
     labels = [f"L:{l}" for l in X.labels] + [f"R:{l}" for l in Y.labels]
     try:
-        return QSpace(Z, labels)
+        return QSpace(Z, labels, tol=slack(TRIANGLE_TOL, Z.max()))
     except ValidationError as err:
         for v in err.report.violations:
             if v.axiom == "M2":

@@ -7,10 +7,10 @@ retracted random candidates.  Nets are deterministic given (space, k, seed).
 A net is kept as one array from draw to return.  Its candidates are
 deduplicated a batch at a time by ``_keep``, at the space's rounding level
 ``slack(0.0, diam)`` = 4 eps diam, so the net of cX is c times the net of X.
-One sweep (``_close_pairs``) finds the rows within that of each other by
-sorting them on one weighted projection (``_projector``) and comparing only
-rows whose projections are close.  ``HullSample.points`` builds an
-``AmplePair`` only when a point is read.
+One sweep a batch (``_close_pairs``) sorts the rows on one weighted
+projection (``_projector``) and compares only rows whose projections are
+close; the level scales with diam, so these are few and the sampler is
+O(k log k).  ``HullSample.points`` builds an ``AmplePair`` only when read.
 
 ``net_gh_upper`` builds each net matrix in one pass over unordered pairs
 (``_net_matrix``) and snaps by the f1 gap first (``_snap``), exactly.
@@ -159,28 +159,26 @@ def _keep(pool: np.ndarray, m: int, C: np.ndarray, tol: float) -> int:
     dedup rule keeps, in draw order; returns the new count of kept rows.
 
     A dropped row changes no other decision, so the rule needs only the
-    pairs within tol.  C is taken in chunks of ``row_blocks(len(C), 64)``
-    rows (1,024 at the default block size), in draw order, and each chunk is
-    swept by ``_close_pairs`` together with the kept rows ahead of it.  Pairs
-    of two kept rows are skipped.  A copy of an earlier row (distance 0) is
-    dropped: its earlier twin is kept or lies within tol of an earlier kept
-    row, and either way so does the copy.  Any other row is dropped when an
-    earlier kept row pairs with it, and kept otherwise.
+    pairs within tol: one ``_close_pairs`` sweep of the kept rows and C,
+    unchunked, as tol scales with diam and no hull is a few tols wide.
+    Pairs of two kept rows are skipped.  A copy of an earlier row (distance
+    0) is dropped: its earlier twin is kept or lies within tol of an earlier
+    kept row, and either way so does the copy.  Any other row is dropped
+    when an earlier kept row pairs with it, and kept otherwise.
     """
-    for s in row_blocks(len(C), 64):
-        A = np.concatenate([pool[:m], C[s]])
-        a, b, gaps = _close_pairs(A, tol)
-        i, j = np.minimum(a, b), np.maximum(a, b)
-        keep = np.ones(len(A), dtype=bool)
-        order = np.argsort(j, kind="stable")
-        order = order[j[order] >= m]
-        for ii, jj, g in zip(i[order].tolist(), j[order].tolist(), gaps[order].tolist()):
-            if g == 0.0 or keep[ii]:  # keep[ii] is final: (., ii) came before
-                keep[jj] = False
-        kept = A[m:][keep[m:]]
-        pool[m : m + len(kept)] = kept
-        m += len(kept)
-    return m
+    A = pool[: m + len(C)]
+    A[m:] = C
+    a, b, gaps = _close_pairs(A, tol)
+    i, j = np.minimum(a, b), np.maximum(a, b)
+    keep = np.ones(len(A), dtype=bool)
+    order = np.argsort(j, kind="stable")
+    order = order[j[order] >= m]
+    for ii, jj, g in zip(i[order].tolist(), j[order].tolist(), gaps[order].tolist()):
+        if g == 0.0 or keep[ii]:  # keep[ii] is final: (., ii) came before
+            keep[jj] = False
+    kept = A[m:][keep[m:]]  # a copy, so the rows can move up in place
+    pool[m : m + len(kept)] = kept
+    return m + len(kept)
 
 
 def _projector(top: float, K: int):

@@ -4,10 +4,10 @@ Producers are exact up to rounding: the retraction onto the hull has no
 stopping tolerance.  Validation and ampleness allow 1e-9, and certification
 of minimality two orders of magnitude more, so a consumer never flakes on
 the producer's float noise.  Rounding grows with the values rounded, so
-ampleness, minimality and hull-net validation floor their slack at 4 eps
-times the scale (``slack``), which passes 1e-9 above about 1.1e6.  Hull-net
-deduplication has no absolute part: it merges points within
-``slack(0.0, diam)``, the space's rounding level alone.
+ampleness, minimality and the validation of hull nets and glued spaces floor
+their slack at 4 eps times the scale (``slack``), which passes 1e-9 above
+about 1.1e6.  Hull-net deduplication has no absolute part: it merges points
+within ``slack(0.0, diam)``, the space's rounding level alone.
 """
 
 TRIANGLE_TOL = 1e-9        # tau_tri: slack for the triangle axiom in validation

@@ -377,10 +377,14 @@ class TestGlue:
         assert Z.classification.is_pseudo_quasi_metric
         assert hausdorff(Z, [0, 1], [2, 3], "sym") == pytest.approx(0.5, abs=1e-9)
 
-    def test_eps_too_small(self):
-        R = Correspondence(S, M2, ((0, 0), (1, 1)))
+    @pytest.mark.parametrize("j", [0, 30, 600])
+    def test_eps_too_small(self, j):
+        # the triangle slack grows with the largest entry, but at every
+        # scale it stays far below the violation an eps under GH leaves
+        A, B = QSpace(np.ldexp(S.d, j)), QSpace(np.ldexp(M2.d, j))
+        R = Correspondence(A, B, ((0, 0), (1, 1)))
         with pytest.raises(EpsTooSmall) as err:
-            glue_space(S, M2, R, 0.2)
+            glue_space(A, B, R, np.ldexp(0.2, j))
         assert len(err.value.triple) == 3
 
     @given(qspaces(max_n=3), qspaces(max_n=3))

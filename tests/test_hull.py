@@ -12,19 +12,23 @@ from qmet import (
     demo_space,
     estimate_delta,
     gh_exact,
+    glue_space,
     hull_as_qspace,
     in_hull,
     is_isometric,
     net_gh_upper,
     pair_dist,
     random_qspace,
+    rough_inverse,
+    rough_isometry_from_correspondence,
     sample_hull,
 )
-from qmet import pairs
+from qmet import hull, pairs
 from qmet.errors import LengthMismatch, QmetError, ValidationError
 from qmet.hull import HullSample, _net_matrix, _retract_rows, _snap
 from qmet.io import hull_to_obj
 from qmet.pairs import AmplePair, dsym, embed_point, is_ample, row_blocks
+from qmet.tolerances import slack
 from helpers import (
     perturbed_space,
     qspaces,
@@ -379,8 +383,8 @@ class TestCopiesAndTies:
         # as the unit net and must match the oracle's: at 1e-300 that level
         # is subnormal and the projection weights are scaled up by ~2^996,
         # at 1e300 the projection must not overflow (a RuntimeWarning is an
-        # error here); with chunk, _keep takes the batches 100 rows at a
-        # time, so the kept rows ahead of a chunk span many earlier chunks
+        # error here); with chunk, the retraction and the residuals run in
+        # blocks of 100 rows, while _keep still sweeps each batch whole
         if chunk:
             monkeypatch.setattr(pairs, "BLOCK_ELEMENTS", 64 * chunk)
         for seed in range(3):
@@ -399,9 +403,9 @@ class TestCopiesAndTies:
 def test_power_of_two_scaling_scales_every_output(n, seed, k, j):
     # the hull of cX is c times the hull of X, and each level qmet works at
     # scales with the space (the dedup level 4 eps diam, the projection's
-    # power-of-two weights, the bracket's slack), so at 2^j X every output
-    # is 2^j times the one at X, bit for bit; no entry below goes subnormal
-    # or overflows for |j| <= 600
+    # power-of-two weights, the bracket's slack, the glued space's triangle
+    # slack), so at 2^j X every output is 2^j times the one at X, bit for
+    # bit; no entry below goes subnormal or overflows for |j| <= 600
     rng = np.random.default_rng(seed)
     X = random_qspace(n, rng)
     Y = perturbed_space(X, rng, 0.08 * X.diam)
@@ -409,16 +413,39 @@ def test_power_of_two_scaling_scales_every_output(n, seed, k, j):
     def outputs(X, Y):
         HX, HY = sample_hull(X, k, seed), sample_hull(Y, k, seed + 1)
         g, est = gh_exact(X, Y), estimate_delta(X)
+        w = rough_isometry_from_correspondence(g.correspondence)
+        inv = rough_inverse(w)
         values = [HX.arrays, HY.arrays, HX.spread, HY.spread, HX.points.tols, HY.points.tols]
         values += [hull_as_qspace(HX).d, hull_as_qspace(HY).d, net_gh_upper(HX, HY)]
-        values += [g.value, est.lower, est.upper]
-        return values, (g.nodes, g.correspondence.pairs, est.boxes)
+        values += [g.value, est.lower, est.upper, glue_space(X, Y, g.correspondence, g.value).d]
+        values += [w.eps_embed, w.eps_large, inv.nonexpansive_defect]
+        values += [inv.target_closeness, inv.source_closeness]
+        return values, (g.nodes, g.correspondence.pairs, est.boxes, w.map, inv.map)
 
     want, counts = outputs(X, Y)
     got, scaled_counts = outputs(QSpace(np.ldexp(X.d, j)), QSpace(np.ldexp(Y.d, j)))
     assert scaled_counts == counts
     for a, b in zip(got, want):
         assert same_bits(a, np.ldexp(b, j))
+
+
+@pytest.mark.parametrize("block", [None, 64 * 100])
+def test_each_batch_is_swept_once(monkeypatch, block):
+    # one near-pair sweep for the fresh batch, one for the perturbation
+    # batch and one for the spread, whatever the block size
+    if block:
+        monkeypatch.setattr(pairs, "BLOCK_ELEMENTS", block)
+    limits, close_pairs = [], hull._close_pairs
+
+    def spy(A, limit, **kw):
+        limits.append(limit)
+        return close_pairs(A, limit, **kw)
+
+    monkeypatch.setattr(hull, "_close_pairs", spy)
+    X = random_qspace(4, np.random.default_rng(1))
+    H = sample_hull(X, 20_000)
+    tol = slack(0.0, X.diam)
+    assert limits == [tol, tol, np.inf] and len(H.points) > 15_000
 
 
 def test_points_are_built_on_read(monkeypatch):

@@ -154,9 +154,11 @@ def test_one_near_pair_sweep():
     # hull nets merge at the space's own rounding level, slack(0.0, diam),
     # and one sweep finds every near pair: the dedup rule's pairs of kept
     # rows and candidates as well as the spread, so no absolute dedup
-    # constant and no second sweep come back
-    sweepers = {owner for owner, name in _owned_calls(SRC / "hull.py") if name == "_projector"}
-    assert sweepers == {"hull._close_pairs"}
+    # constant and no second sweep come back; _keep sweeps each batch whole,
+    # as the level scales with diam, so it cuts no row blocks
+    calls = list(_owned_calls(SRC / "hull.py"))
+    assert {owner for owner, name in calls if name == "_projector"} == {"hull._close_pairs"}
+    assert ("hull._keep", "row_blocks") not in calls
     paths = sorted(SRC.glob("*.py")) + [ROOT / "tests" / "helpers.py"]
     assert [path.name for path in paths if "DEDUP_TOL" in path.read_text()] == []
 
