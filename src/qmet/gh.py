@@ -31,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .pairs import row_blocks
-from .space import QSpace, largeness_constant, map_table
+from .space import QSpace, _relax, largeness_constant, map_table
 from .tolerances import TRIANGLE_TOL, slack
 
 DEFAULT_BUDGET = 5_000_000
@@ -173,12 +173,13 @@ def gh_exact(X, Y, budget: int | None = DEFAULT_BUDGET) -> GHResult:
         flat = C.reshape(-1)
         # the cell picked at each level: phi fills cols[:nx], psi fills rows[nx:]
         rows, cols = list(range(nx)) + [0] * ny, [0] * nx + list(range(ny))
-        best, leaf, nodes, aborted = float(np.nextafter(s, np.inf)), None, 0, False
+        leaf, value = set(zip(seed_rows.tolist(), seed_cols.tolist())), s
+        best, nodes, aborted = float(np.nextafter(s, np.inf)), 0, False
         stack, undo, cur = [], [], 0.0
         while True:
             level = len(stack)
             if level == nx + ny:
-                best, leaf = cur, set(zip(rows, cols))
+                best, value, leaf = cur, cur, set(zip(rows, cols))
             else:
                 if level < nx:
                     cost = C[level]
@@ -225,12 +226,7 @@ def gh_exact(X, Y, budget: int | None = DEFAULT_BUDGET) -> GHResult:
             idx = (raised > flat).nonzero()[0]
             undo.append((idx, flat[idx]))
             flat[idx] = raised[idx]
-    if leaf is None:
-        seed = set(zip(seed_rows.tolist(), seed_cols.tolist()))
-        return GHResult(s / 2.0, Correspondence(X, Y, tuple(seed)), False, nodes)
-    return GHResult(
-        float(best) / 2.0, Correspondence(X, Y, tuple(leaf)), not aborted, nodes
-    )
+    return GHResult(value / 2.0, Correspondence(X, Y, tuple(leaf)), not aborted, nodes)
 
 
 def glue_space(X: QSpace, Y: QSpace, R: Correspondence, eps: float) -> QSpace:
@@ -242,10 +238,12 @@ def glue_space(X: QSpace, Y: QSpace, R: Correspondence, eps: float) -> QSpace:
     Hausdorff distance exactly eps; below that threshold the triangle
     inequality breaks and EpsTooSmall reports a violating triple.  The check
     allows ``slack(TRIANGLE_TOL, M)`` for rounding, M the largest entry.
+    The cross blocks are min-plus products through R (``space._relax``),
+    so memory grows as O(n_X n_Y), not with |R|.
     """
     a, b = np.array(R.pairs).T
-    xy = (X.d[:, a][:, :, None] + Y.d[b, :][None, :, :]).min(axis=1) + eps
-    yx = (Y.d[:, b][:, :, None] + X.d[a, :][None, :, :]).min(axis=1) + eps
+    xy = _relax(np.full((X.n, Y.n), np.inf), X.d[:, a], Y.d[b]) + eps
+    yx = _relax(np.full((Y.n, X.n), np.inf), Y.d[:, b], X.d[a]) + eps
     Z = np.block([[X.d, xy], [yx, Y.d]])
     labels = [f"L:{l}" for l in X.labels] + [f"R:{l}" for l in Y.labels]
     try:

@@ -89,10 +89,7 @@ def parse_space(source, fmt: str | None = None, tol: float = TRIANGLE_TOL) -> QS
         labels = obj.get("labels")
         if labels is not None and not isinstance(labels, list):
             raise ParseError('"labels" must be a list')
-        if labels is not None and len(labels) != len(matrix):
-            raise ParseError(f"{len(labels)} labels for {len(matrix)} rows")
-        return QSpace(matrix, labels, tol=tol)
-    if fmt == "csv":
+    elif fmt == "csv":
         rows = [r for r in csv.reader(text.splitlines()) if r]
         if not rows:
             raise ParseError("empty input")
@@ -111,10 +108,11 @@ def parse_space(source, fmt: str | None = None, tol: float = TRIANGLE_TOL) -> QS
             if not rows:
                 raise ParseError("header without data", position="row 2")
         matrix = _matrix_from_rows(rows, offset=offset)
-        if labels is not None and len(labels) != len(matrix):
-            raise ParseError(f"{len(labels)} labels for {len(matrix)} rows")
-        return QSpace(matrix, labels, tol=tol)
-    raise ParseError(f"unknown format {fmt!r}")
+    else:
+        raise ParseError(f"unknown format {fmt!r}")
+    if labels is not None and len(labels) != len(matrix):
+        raise ParseError(f"{len(labels)} labels for {len(matrix)} rows")
+    return QSpace(matrix, labels, tol=tol)
 
 
 def space_to_obj(X: QSpace) -> dict:

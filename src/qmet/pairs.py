@@ -37,7 +37,7 @@ from .errors import (
     SpaceMismatch,
     SubsetMismatch,
 )
-from .space import QSpace, subset_indices
+from .space import QSpace, _relax, subset_indices
 from .tolerances import AMPLE_TOL, CERTIFICATION_TOL, slack
 
 # floats a row-blocked kernel keeps live at once: 512 KB stays in a core's
@@ -240,7 +240,7 @@ def extend_from_subspace(X: QSpace, subset, f: AmplePair) -> AmplePair:
         raise SubsetMismatch("pair does not live on the selected subspace")
     if not in_hull(f):
         raise NotMinimal("extension requires a minimal pair")
-    s1 = (X.d[iy, :] + f.f1[:, None]).min(axis=0)
+    s1 = _relax(np.full((1, X.n), np.inf), f.f1[None, :], X.d[iy])[0]
     P1, P2, res = retract(X.d, s1)
     drift = dsym(P1[iy], P2[iy], f.f1, f.f2)
     if not drift <= slack(CERTIFICATION_TOL, X.diam):

@@ -135,6 +135,40 @@ def reference_distortion(R):
         return float(np.abs(wl[np.ix_(px, px)] - wr[np.ix_(py, py)]).max())
 
 
+def reference_glue_matrix(X, Y, R, eps):
+    """The glued matrix of ``glue_space`` in plain loops: d(x, y) is the least
+    d_X(x, x') + d_Y(y', y) over (x', y') in R, plus eps, and d(y, x) the
+    least d_Y(y, y') + d_X(x', x)."""
+    dx, dy = X.d.tolist(), Y.d.tolist()
+    Z = np.zeros((X.n + Y.n, X.n + Y.n))
+    Z[:X.n, :X.n], Z[X.n:, X.n:] = X.d, Y.d
+    for x in range(X.n):
+        for y in range(Y.n):
+            Z[x, X.n + y] = min(dx[x][a] + dy[b][y] for a, b in R.pairs) + eps
+            Z[X.n + y, x] = min(dy[y][b] + dx[a][x] for a, b in R.pairs) + eps
+    return Z
+
+
+def reference_triangle_closure(matrix):
+    """Floyd-Warshall in three plain loops, repeated to a float fixpoint.
+    With a zero diagonal and no negative entry, row and column k do not move
+    while k is the pivot, so this is the order of ``triangle_closure``."""
+    d = np.asarray(matrix, dtype=float).tolist()
+    n = len(d)
+    for i in range(n):
+        d[i][i] = 0.0
+    for _ in range(n + 1):
+        changed = False
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    if d[i][k] + d[k][j] < d[i][j]:
+                        d[i][j], changed = d[i][k] + d[k][j], True
+        if not changed:
+            break
+    return np.array(d)
+
+
 def reference_gh(X, Y, budget=DEFAULT_BUDGET):
     """The recursive branch and bound that ``gh_exact`` replaced, kept as
     its reference: same levels and candidate order, one Python frame per

@@ -41,10 +41,12 @@ from helpers import (
     reference_correspondence_from_rough_isometry,
     reference_distortion,
     reference_gh,
+    reference_glue_matrix,
     reference_is_isometric,
     reference_rough_inverse,
     reference_rough_isometry_from_correspondence,
     rng_spaces,
+    same_bits,
 )
 
 S = demo_space("sierpinski")
@@ -397,6 +399,37 @@ class TestGlue:
         right = list(range(A.n, A.n + B.n))
         got = hausdorff(Z, left, right, "sym")
         assert got <= eps + 1e-9
+
+    @given(qspaces(min_n=1, max_n=6), qspaces(min_n=1, max_n=6), st.data())
+    @settings(max_examples=40)
+    def test_glue_matches_loops(self, A, B, data):
+        # any covering relation, at the least valid eps and above it
+        def draw(values, size):
+            return data.draw(st.lists(values, min_size=size, max_size=size))
+
+        mask = np.array(draw(st.booleans(), A.n * B.n)).reshape(A.n, B.n)
+        mask[np.arange(A.n), draw(st.integers(0, B.n - 1), A.n)] = True
+        mask[draw(st.integers(0, A.n - 1), B.n), np.arange(B.n)] = True
+        R = Correspondence(A, B, tuple(map(tuple, np.argwhere(mask))))
+        for eps in (distortion(R) / 2.0, 2.0 * distortion(R)):
+            assert same_bits(glue_space(A, B, R, eps).d, reference_glue_matrix(A, B, R, eps))
+
+    def test_glue_memory_grows_with_the_spaces_not_the_relation(self):
+        # the cross blocks are relaxed one related pair at a time; one
+        # n_X x |R| x n_Y temporary would peak near 130 MB here
+        rng = np.random.default_rng(5)
+        A, B = random_qspace(200, rng), random_qspace(200, rng)
+        i = np.arange(200)
+        R = Correspondence(A, B, tuple(zip(np.r_[i, i].tolist(), np.r_[i, (i + 1) % 200].tolist())))
+        eps = distortion(R) / 2.0
+        tracemalloc.start()
+        try:
+            Z = glue_space(A, B, R, eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert Z.n == 400
+        assert peak < 16_000_000
 
 
 class TestWitnesses:

@@ -34,6 +34,8 @@ from helpers import (
     qspaces,
     reference_candidates,
     reference_is_isometric,
+    reference_triangle_closure,
+    same_bits,
 )
 
 
@@ -114,6 +116,15 @@ class TestValidate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert np.array_equal(triangle_closure(d), d)
+
+    @given(st.integers(1, 8), st.sampled_from([0, 600, -600]), st.integers(0, 2 ** 31 - 1))
+    def test_closure_matches_floyd_warshall(self, n, j, seed):
+        # raw draws with zero entries, so ties and zero-length paths occur,
+        # at scales far from overflow and from subnormals
+        rng = np.random.default_rng(seed)
+        m = np.where(rng.random((n, n)) < 0.3, 0.0, rng.uniform(0.05, 1.0, (n, n)))
+        m = np.ldexp(m, j)
+        assert same_bits(triangle_closure(m), reference_triangle_closure(m))
 
     def test_bad_candidates(self):
         with pytest.raises(NonSquareMatrix):

@@ -129,6 +129,36 @@ def test_one_distortion_kernel():
     assert found == {"gh.distortion", "gh._seed", "gh.verify_rough_isometry", "hull.net_gh_upper"}
 
 
+def test_one_min_plus_relaxation():
+    # every min-plus product runs in space._relax, one k at a time into an
+    # output of the result's shape: the triangle scan, the closure, the
+    # glued cross blocks and the subspace inf-convolution; no site takes
+    # .min(...) of a broadcast sum, whose temporary grows with the inner axis
+    found = {
+        owner
+        for path in sorted(SRC.glob("*.py"))
+        for owner, name in _owned_calls(path)
+        if name == "_relax"
+    }
+    assert found == {
+        "space.validate",
+        "space.triangle_closure",
+        "gh.glue_space",
+        "pairs.extend_from_subspace",
+    }
+    summed = sorted(
+        owner
+        for path in sorted(SRC.glob("*.py"))
+        for owner, node in _owned_nodes(path)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "min"
+        and isinstance(node.func.value, ast.BinOp)
+        and isinstance(node.func.value.op, ast.Add)
+    )
+    assert summed == []
+
+
 def test_one_retraction_kernel():
     # a hull net's candidates, fresh or perturbed, and the net GH bound's
     # snapping reach the hull through pairs.retract_points in the row
