@@ -138,6 +138,7 @@ def cmd_gh(args) -> Report:
         Path(args.witness).write_text(json.dumps(qio.witness_to_obj(w, R), indent=2))
     payload = {
         "value": result.value,
+        "lower": result.lower,
         "exact": result.exact,
         "nodes": result.nodes,
         "distortion": distortion(R),
@@ -146,6 +147,7 @@ def cmd_gh(args) -> Report:
     lines = [
         f"gh = {_fmt(result.value)}",
         f"exact: {'yes' if result.exact else 'no (budget exhausted, upper bound)'}",
+        *([] if result.exact else [f"bracket: [{_fmt(result.lower)}, {_fmt(result.value)}] (certified)"]),
         f"nodes: {result.nodes}",
         f"correspondence: {list(R.pairs)}",
     ]

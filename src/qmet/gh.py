@@ -10,7 +10,11 @@ the nearest (max out-weight, max in-weight), after Memoli's eccentricity
 bounds.  It keeps every cell's cost against the cells picked so far in one
 matrix, raised in place by each pick and restored from an undo log on
 backtracking, and skips a level once the costs still to be paid reach the
-incumbent.
+incumbent.  On inputs of at most 256 cells a cost starts at the cell's
+local-spectrum floor (``_floor``, after Chowdhury-Memoli), which orders the
+candidates far better; the largest row or column minimum of the starting
+costs is a certified lower bound (``GHResult.lower``), and the search ends
+at the first leaf that meets it.
 Arbitrary weight matrices (asymmetric, negative, nonzero diagonal) are
 accepted by ``distortion`` and ``gh_exact``: on such networks the same
 value is the network distance.
@@ -104,10 +108,15 @@ def distortion(R: Correspondence) -> float:
 
 @dataclass(frozen=True)
 class GHResult:
+    """``value`` is half the distortion of ``correspondence``, the GH
+    distance when ``exact``; ``lower`` is a certified lower bound on it
+    (0.0 by default, which always holds)."""
+
     value: float
     correspondence: Correspondence
     exact: bool
     nodes: int
+    lower: float = 0.0
 
 
 def _seed(SX, SY):
@@ -119,12 +128,33 @@ def _seed(SX, SY):
     distortion.  ``SX`` and ``SY`` are the (w.T, w) stacks of ``gh_exact``.
     """
     wx, wy = SX[1], SY[1]
-    ex, ey = np.maximum.reduce(SX, axis=2), np.maximum.reduce(SY, axis=2)
+    ex, ey = np.maximum.reduce(SX, axis=1), np.maximum.reduce(SY, axis=1)
     gap = np.abs(ex[:, :, None] - ey[:, None, :])
     gap = np.maximum(gap[0], gap[1])
     a = np.concatenate((np.arange(len(wx)), gap.argmin(axis=0)))
     b = np.concatenate((gap.argmin(axis=1), np.arange(len(wy))))
     return a, b, _distortion(wx, wy, a, b)
+
+
+def _floor(wx, wy) -> np.ndarray:
+    """C0[x, y], the sup-norm Hausdorff distance between the local spectra
+    {(wx[x, x'], wx[x', x])} and {(wy[y, y'], wy[y', y])}.
+
+    A correspondence holding (x, y) relates each x' to some y' and each y'
+    to some x', so its distortion is at least C0[x, y] (Chowdhury-Memoli).
+    The differences are laid out [x', y', x, y], so that both reductions
+    run over leading axes.  O(n_X^2 n_Y^2) floats; call under
+    np.errstate(over="ignore").
+    """
+    D = np.subtract.outer(wx, wy)  # [x, x', y, y']
+    np.abs(D, out=D)
+    T = np.subtract.outer(wx.T, wy.T)
+    np.abs(T, out=T)
+    D = np.maximum(D, T, out=D).transpose(1, 3, 0, 2).copy()
+    return np.maximum(
+        np.maximum.reduce(np.minimum.reduce(D, axis=1)),
+        np.maximum.reduce(np.minimum.reduce(D)),
+    )
 
 
 def gh_exact(X, Y, budget: int | None = DEFAULT_BUDGET) -> GHResult:
@@ -143,25 +173,38 @@ def gh_exact(X, Y, budget: int | None = DEFAULT_BUDGET) -> GHResult:
     skipped unscored.  No skipped leaf would have been accepted, so the
     result is that of the search without the bound.
 
+    ``C`` starts at max(|wx[x, x] - wy[y, y]|, C0[x, y]), C0 the local-
+    spectrum floor (``_floor``): every correspondence holding (x, y) has
+    distortion at least C0[x, y], so a leaf's running value is still its
+    distortion and the search stays exact.  C0 costs O((n_X n_Y)^2), so it
+    is computed only when its tensor fits one ``pairs.row_blocks`` block
+    (n_X n_Y <= 256 cells); larger inputs start at the diagonal term alone.
+    The floor changes which of several optimal leaves comes first, not the
+    value.  ``root``, the largest row or column minimum of the starting
+    ``C``, bounds every distortion from below (each point needs a partner),
+    so the first leaf with value <= root is optimal, and being the first
+    optimal leaf in depth-first order it is the one the search would keep
+    to the end: the search stops there.  ``lower`` is root / 2.
+
     The search starts from the eccentricity-matched seed (``_seed``), a
     double graph and so itself a leaf, of distortion s.  The incumbent
     starts at nextafter(s, inf), the least float above s, so "below the
     incumbent" means "at most s" until a leaf is reached: the seed leaf is
     never pruned, and neither is the first optimal leaf in depth-first
-    order, the one the search from +inf returns.  Only leaves worse than s,
-    which that search would replace anyway, go unvisited.  So value,
-    correspondence and exact flag are those of the search from +inf, in no
-    more nodes.  Starting at s itself would prune an optimal seed and every
-    leaf tied with it.
+    order, the one the floored search from +inf returns.  Only leaves worse
+    than s, which that search would replace anyway, go unvisited.  So
+    value, correspondence and exact flag are those of the floored search
+    from +inf, in no more nodes.  Starting at s itself would prune an
+    optimal seed and every leaf tied with it.  The seed is never returned
+    early, even when s <= root: the search still runs to its first leaf.
 
     Every scored candidate is a node; once ``budget`` nodes are spent the
     incumbent comes back flagged inexact (the CLI maps that to exit code
-    3), or the seed if no leaf was reached.  A weight difference past the
-    float range is a cost of +inf.  Two copies of a 510-point line take
-    520,200 nodes; a permuted copy of a random n-point space 2n^2 (one
-    dive).  Ten random 8-point pairs took 728-29,320 nodes (median ~3e3)
-    and six random 10-point pairs 8,300-43,530, as many as without the
-    seed: on these the first dive already beats it.
+    3, with the bracket [lower, value]), or the seed if no leaf was reached.
+    A weight difference past the float range is a cost of +inf.  Two copies
+    of a 510-point line take 520,200 nodes; a permuted copy of a random
+    n-point space 2n^2 (one dive).  Ten random 8-point pairs took
+    1,048-7,664 nodes and six random 10-point pairs 4,730-37,300.
     """
     wx, wy = _weights(X), _weights(Y)
     nx, ny = len(wx), len(wy)
@@ -170,6 +213,9 @@ def gh_exact(X, Y, budget: int | None = DEFAULT_BUDGET) -> GHResult:
         SX, SY = np.array((wx.T, wx)), np.array((wy.T, wy))
         seed_rows, seed_cols, s = _seed(SX, SY)
         C = np.abs(np.subtract.outer(np.diag(wx), np.diag(wy)))
+        if len(row_blocks(nx * ny, nx * ny)) == 1:
+            np.maximum(C, _floor(wx, wy), out=C)
+        root = max(np.minimum.reduce(C, axis=1).max(), np.minimum.reduce(C).max())
         flat = C.reshape(-1)
         # the cell picked at each level: phi fills cols[:nx], psi fills rows[nx:]
         rows, cols = list(range(nx)) + [0] * ny, [0] * nx + list(range(ny))
@@ -180,6 +226,8 @@ def gh_exact(X, Y, budget: int | None = DEFAULT_BUDGET) -> GHResult:
             level = len(stack)
             if level == nx + ny:
                 best, value, leaf = cur, cur, set(zip(rows, cols))
+                if cur <= root:  # no distortion is below root
+                    break
             else:
                 if level < nx:
                     cost = C[level]
@@ -226,7 +274,9 @@ def gh_exact(X, Y, budget: int | None = DEFAULT_BUDGET) -> GHResult:
             idx = (raised > flat).nonzero()[0]
             undo.append((idx, flat[idx]))
             flat[idx] = raised[idx]
-    return GHResult(value / 2.0, Correspondence(X, Y, tuple(leaf)), not aborted, nodes)
+    return GHResult(
+        value / 2.0, Correspondence(X, Y, tuple(leaf)), not aborted, nodes, float(root) / 2.0
+    )
 
 
 def glue_space(X: QSpace, Y: QSpace, R: Correspondence, eps: float) -> QSpace:

@@ -163,18 +163,20 @@ def _keep(pool: np.ndarray, m: int, C: np.ndarray, tol: float) -> int:
     unchunked, as tol scales with diam and no hull is a few tols wide.
     Pairs of two kept rows are skipped.  A copy of an earlier row (distance
     0) is dropped: its earlier twin is kept or lies within tol of an earlier
-    kept row, and either way so does the copy.  Any other row is dropped
-    when an earlier kept row pairs with it, and kept otherwise.
+    kept row, and either way so does the copy.  So every copy is dropped
+    first, in one step, and the loop visits only the other pairs: their
+    later row is dropped when the earlier one is kept, and kept otherwise.
     """
     A = pool[: m + len(C)]
     A[m:] = C
     a, b, gaps = _close_pairs(A, tol)
     i, j = np.minimum(a, b), np.maximum(a, b)
     keep = np.ones(len(A), dtype=bool)
-    order = np.argsort(j, kind="stable")
-    order = order[j[order] >= m]
-    for ii, jj, g in zip(i[order].tolist(), j[order].tolist(), gaps[order].tolist()):
-        if g == 0.0 or keep[ii]:  # keep[ii] is final: (., ii) came before
+    keep[j[(gaps == 0) & (j >= m)]] = False
+    rest = ((gaps != 0) & (j >= m)).nonzero()[0]
+    order = rest[np.argsort(j[rest], kind="stable")]
+    for ii, jj in zip(i[order].tolist(), j[order].tolist()):
+        if keep[ii]:  # keep[ii] is final: (., ii) came before
             keep[jj] = False
     kept = A[m:][keep[m:]]  # a copy, so the rows can move up in place
     pool[m : m + len(kept)] = kept

@@ -21,6 +21,7 @@ from qmet.pairs import (
     residual,
     retract,
     retract_points,
+    row_blocks,
     star,
 )
 from qmet.tolerances import AMPLE_TOL, slack
@@ -169,19 +170,41 @@ def reference_triangle_closure(matrix):
     return np.array(d)
 
 
+def reference_floor(wx, wy):
+    """The local-spectrum floor of ``gh_exact`` in plain loops: for each cell
+    (x, y), the sup-norm Hausdorff distance between {(wx[x, x'], wx[x', x])}
+    and {(wy[y, y'], wy[y', y])}, over Python floats."""
+    wx, wy = np.asarray(wx, dtype=float).tolist(), np.asarray(wy, dtype=float).tolist()
+    nx, ny = len(wx), len(wy)
+    floor = [[0.0] * ny for _ in range(nx)]
+    for x in range(nx):
+        for y in range(ny):
+            gap = [
+                [max(abs(wx[x][a] - wy[y][b]), abs(wx[a][x] - wy[b][y])) for b in range(ny)]
+                for a in range(nx)
+            ]
+            floor[x][y] = max(max(map(min, gap)), max(map(min, zip(*gap))))
+    return floor
+
+
 def reference_gh(X, Y, budget=DEFAULT_BUDGET):
     """The recursive branch and bound that ``gh_exact`` replaced, kept as
-    its reference: same levels and candidate order, one Python frame per
-    level and one numpy reduction per candidate, no look-ahead bound."""
+    its reference: same levels, cost floor and candidate order, one Python
+    frame per level and one numpy reduction per candidate, no look-ahead
+    bound and no stop at the root bound.  The floor (``reference_floor``)
+    applies under the same one-block gate as in ``gh_exact``."""
     wx = X.d if isinstance(X, QSpace) else np.asarray(X, dtype=float)
     wy = Y.d if isinstance(Y, QSpace) else np.asarray(Y, dtype=float)
     nx, ny = len(wx), len(wy)
+    floor = np.zeros((nx, ny))
+    if len(row_blocks(nx * ny, nx * ny)) == 1:
+        floor = np.array(reference_floor(wx, wy))
     phi = [0] * nx
     psi = [0] * ny
     state = {"best": np.inf, "phi": None, "psi": None, "nodes": 0, "aborted": False}
 
     def inc_phi(i, y):
-        m = abs(wx[i, i] - wy[y, y])
+        m = max(abs(wx[i, i] - wy[y, y]), floor[i, y])
         if i:
             a = phi[:i]
             m = max(
@@ -194,6 +217,7 @@ def reference_gh(X, Y, budget=DEFAULT_BUDGET):
     def inc_psi(j, x):
         m = max(
             abs(wy[j, j] - wx[x, x]),
+            floor[x, j],
             np.abs(wx[x, :] - wy[j, phi]).max(),
             np.abs(wx[:, x] - wy[phi, j]).max(),
         )

@@ -32,7 +32,7 @@ from qmet.errors import (
     NonSquareMatrix,
     NotACorrespondence,
 )
-from qmet.gh import DEFAULT_BUDGET
+from qmet.gh import DEFAULT_BUDGET, _floor
 from helpers import (
     brute_gh,
     permuted_copy,
@@ -40,6 +40,7 @@ from helpers import (
     qspaces,
     reference_correspondence_from_rough_isometry,
     reference_distortion,
+    reference_floor,
     reference_gh,
     reference_glue_matrix,
     reference_is_isometric,
@@ -276,9 +277,9 @@ def assert_no_worse(got, ref):
 
 
 @st.composite
-def networks(draw):
+def networks(draw, max_n=5):
     """Raw weight matrices: asymmetric, signed, nonzero diagonal."""
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(1, max_n))
     seed = draw(st.integers(0, 2 ** 31 - 1))
     return np.random.default_rng(seed).normal(size=(n, n))
 
@@ -297,6 +298,16 @@ class TestGHAgainstReference:
         got = gh_exact(X, Y, budget=budget)
         assert_no_worse(got, reference_gh(X, Y, budget=budget))
         assert got.exact or got.nodes == budget + 1
+
+    @given(st.data())
+    def test_floor_matches_loops(self, data):
+        # one float per cell, overflow to +inf included, as the loops over
+        # x, y, x' and y' give it
+        spaces = qspaces(min_n=1, max_n=6).map(lambda X: X.d)
+        wx, wy = data.draw(st.tuples(spaces, spaces) | st.tuples(huge_networks(), huge_networks()))
+        with np.errstate(over="ignore"):
+            got = _floor(wx, wy)
+        assert same_bits(got, reference_floor(wx, wy))
 
     @pytest.mark.parametrize("n", [6, 7, 8])
     def test_perturbed_pairs(self, n):
@@ -326,6 +337,37 @@ class TestHeavyTail:
         for _ in range(6):
             X, Y = random_qspace(10, rng), random_qspace(10, rng)
             assert gh_exact(X, Y, budget=DEFAULT_BUDGET).exact
+
+    @pytest.mark.parametrize("n, s", [(9, 6), (10, 5), (12, 1)])
+    def test_gh_panel_tail_pairs(self, n, s):
+        # without the local-spectrum floor each stays inexact past 400,000
+        # nodes; with it they take 73,908, 242,050 and 87,492
+        X = random_qspace(n, np.random.default_rng(1000 * n + s))
+        Y = random_qspace(n, np.random.default_rng(1000 * n + s + 500))
+        r = gh_exact(X, Y, budget=DEFAULT_BUDGET)
+        assert r.exact and r.nodes <= 300_000
+
+
+class TestLowerBound:
+    @given(
+        st.one_of(
+            st.tuples(qspaces(min_n=1, max_n=3), qspaces(min_n=1, max_n=4)),
+            st.tuples(networks(max_n=3), networks(max_n=4)),
+        ),
+        st.one_of(st.none(), st.integers(1, 40)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_lower_brackets_the_enumeration(self, sides, budget):
+        # the root bound holds under any budget, exact or not
+        r = gh_exact(*sides, budget=budget)
+        assert r.lower <= brute_gh(*sides) <= r.value
+
+    def test_lower_is_the_largest_root_minimum(self):
+        # sierpinski against a point: both points' spectra {(0, 0), (0, 1)}
+        # and {(0, 0), (1, 0)} lie at 1 from the point's {(0, 0)}, and the
+        # seed, the full relation, has distortion 1
+        r = gh_exact(S, POINT)
+        assert r.lower == r.value == 0.5 and r.exact
 
 
 def line(n):

@@ -352,6 +352,16 @@ class TestCLI:
         assert code == 3
         assert not payload["exact"]
 
+    def test_gh_inexact_report_shows_the_bracket(self, capsys, demo_files):
+        argv = ["gh", demo_files["line3"], demo_files["runit5"], "--budget", "3"]
+        code, payload = self.check_json(capsys, "gh", *argv, "--json")
+        assert code == 3 and 0.0 <= payload["lower"] <= payload["value"]
+        code, out, _ = self.run(capsys, *argv)
+        bracket = f"bracket: [{payload['lower']:.12g}, {payload['value']:.12g}] (certified)"
+        assert code == 3 and bracket in out.splitlines()
+        code, out, _ = self.run(capsys, *argv[:3])
+        assert code == 0 and "bracket" not in out
+
     def test_gh_budget_before_any_leaf_exits_3(self, capsys, tmp_path):
         rng = np.random.default_rng(3)
         spaces = [random_qspace(8, rng) for _ in range(4)]

@@ -49,19 +49,21 @@ def _literal(node):
 def test_point_axis_leads():
     # numpy reduces a trailing axis only n points long one output entry at a
     # time; the pair kernel moves the point axis to the front and reduces
-    # with axis=0 (see pairs._lead)
+    # with axis=0 (see pairs._lead), and the GH floor and search reduce over
+    # leading axes as well, by .max/.min or by a ufunc's .reduce
     found = [
         f"{path.stem}.{func.name}"
-        for path in (SRC / "pairs.py", SRC / "hull.py")
+        for path in (SRC / "pairs.py", SRC / "hull.py", SRC / "gh.py")
         for func in ast.walk(ast.parse(path.read_text()))
         if isinstance(func, ast.FunctionDef)
         for node in ast.walk(func)
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
-        and node.func.attr in ("max", "min")
+        and node.func.attr in ("max", "min", "reduce")
         and any(
-            kw.arg == "axis" and _literal(kw.value) in (-1, -2, 2)
-            for kw in node.keywords
+            _literal(axis) in (-1, -2, 2)
+            for axis in [kw.value for kw in node.keywords if kw.arg == "axis"]
+            + node.args[1:2] * (node.func.attr == "reduce")
         )
     ]
     assert found == []
