@@ -10,11 +10,13 @@ the nearest (max out-weight, max in-weight), after Memoli's eccentricity
 bounds.  It keeps every cell's cost against the cells picked so far in one
 matrix, raised in place by each pick and restored from an undo log on
 backtracking, and skips a level once the costs still to be paid reach the
-incumbent.  On inputs of at most 256 cells a cost starts at the cell's
-local-spectrum floor (``_floor``, after Chowdhury-Memoli), which orders the
-candidates far better; the largest row or column minimum of the starting
-costs is a certified lower bound (``GHResult.lower``), and the search ends
-at the first leaf that meets it.
+incumbent.  On inputs of at most 256 cells ``_floor`` builds the table of
+every two cells' weight mismatch (512 KB), symmetric in the two cells: its
+reduction starts each cost at the cell's local-spectrum floor (after
+Chowdhury-Memoli), which orders the candidates far better, and the same
+layout gives each pick its row; above 256 cells each pick computes it.  The
+largest row or column minimum of the starting costs is a certified lower
+bound (``GHResult.lower``); the search ends at the first leaf that meets it.
 Arbitrary weight matrices (asymmetric, negative, nonzero diagonal) are
 accepted by ``distortion`` and ``gh_exact``: on such networks the same
 value is the network distance.
@@ -136,25 +138,27 @@ def _seed(SX, SY):
     return a, b, _distortion(wx, wy, a, b)
 
 
-def _floor(wx, wy) -> np.ndarray:
+def _floor(wx, wy) -> tuple[np.ndarray, np.ndarray]:
     """C0[x, y], the sup-norm Hausdorff distance between the local spectra
-    {(wx[x, x'], wx[x', x])} and {(wy[y, y'], wy[y', y])}.
+    {(wx[x, x'], wx[x', x])} and {(wy[y, y'], wy[y', y])}, and the table it
+    reduces: [x', y', x, y] holds max(|wx[x, x'] - wy[y, y']|, |wx[x', x] -
+    wy[y', y]|), as a square matrix of n_X n_Y rows.
 
     A correspondence holding (x, y) relates each x' to some y' and each y'
     to some x', so its distortion is at least C0[x, y] (Chowdhury-Memoli).
-    The differences are laid out [x', y', x, y], so that both reductions
-    run over leading axes.  O(n_X^2 n_Y^2) floats; call under
-    np.errstate(over="ignore").
+    Both reductions run over leading axes; by symmetry, row x n_Y + y is what
+    a pick of (x, y) raises ``C`` to.  Call under np.errstate(over="ignore").
     """
     D = np.subtract.outer(wx, wy)  # [x, x', y, y']
     np.abs(D, out=D)
     T = np.subtract.outer(wx.T, wy.T)
     np.abs(T, out=T)
     D = np.maximum(D, T, out=D).transpose(1, 3, 0, 2).copy()
-    return np.maximum(
+    C0 = np.maximum(
         np.maximum.reduce(np.minimum.reduce(D, axis=1)),
         np.maximum.reduce(np.minimum.reduce(D)),
     )
+    return C0, D.reshape(C0.size, -1)
 
 
 def gh_exact(X, Y, budget: int | None = DEFAULT_BUDGET) -> GHResult:
@@ -163,28 +167,31 @@ def gh_exact(X, Y, budget: int | None = DEFAULT_BUDGET) -> GHResult:
     Level l < n_X picks the cell (l, phi(l)) and level n_X + j the cell
     (psi(j), j).  ``C`` holds every cell's cost, its worst weight mismatch
     against the cells already picked: a phi level reads a row of it, a psi
-    level a column.  A pick raises ``C`` in place and logs the entries it
-    raised; backtracking restores them, so ``C`` is never copied.  Each
-    level keeps its candidates, ordered by (running distortion, index), as
-    an iterator on an explicit stack, so the depth n_X + n_Y costs no Python
-    frames.  Every open row and column must still pick a cell and costs
-    only grow, so the largest of their minima in ``C`` bounds every
-    completion from below: a level where it reaches the incumbent is
-    skipped unscored.  No skipped leaf would have been accepted, so the
-    result is that of the search without the bound.
+    level a column.  A pick raises ``C`` in place to its row of the mismatch
+    table, read from ``_floor``'s (symmetric, so its rows are the picks'
+    rows) or, above 256 cells, computed from ``SX`` and ``SY``, and logs the
+    entries it raised; backtracking restores them, so ``C`` is never copied.
+    Each level keeps its candidates, ordered by (running distortion, index),
+    as an iterator on an explicit stack, so the depth n_X + n_Y costs no
+    Python frames.  Every open row and column must still pick a cell and
+    costs only grow, so the largest of their minima in ``C`` bounds every
+    completion from below: a level where it reaches the incumbent is skipped
+    unscored.  No skipped leaf would have been accepted, so the result is
+    that of the search without the bound.
 
     ``C`` starts at max(|wx[x, x] - wy[y, y]|, C0[x, y]), C0 the local-
     spectrum floor (``_floor``): every correspondence holding (x, y) has
     distortion at least C0[x, y], so a leaf's running value is still its
-    distortion and the search stays exact.  C0 costs O((n_X n_Y)^2), so it
-    is computed only when its tensor fits one ``pairs.row_blocks`` block
-    (n_X n_Y <= 256 cells); larger inputs start at the diagonal term alone.
-    The floor changes which of several optimal leaves comes first, not the
-    value.  ``root``, the largest row or column minimum of the starting
-    ``C``, bounds every distortion from below (each point needs a partner),
-    so the first leaf with value <= root is optimal, and being the first
-    optimal leaf in depth-first order it is the one the search would keep
-    to the end: the search stops there.  ``lower`` is root / 2.
+    distortion and the search stays exact.  C0 and the table cost
+    O((n_X n_Y)^2), so they are built only when the table fits one
+    ``pairs.row_blocks`` block (n_X n_Y <= 256 cells, 512 KB); larger inputs
+    start at the diagonal term alone and compute each pick's row.  The floor
+    changes which of several optimal leaves comes first, not the value.
+    ``root``, the largest row or column minimum of the starting ``C``,
+    bounds every distortion from below (each point needs a partner), so the
+    first leaf with value <= root is optimal, and being the first optimal
+    leaf in depth-first order it is the one the search would keep to the
+    end: the search stops there.  ``lower`` is root / 2.
 
     The search starts from the eccentricity-matched seed (``_seed``), a
     double graph and so itself a leaf, of distortion s.  The incumbent
@@ -212,9 +219,10 @@ def gh_exact(X, Y, budget: int | None = DEFAULT_BUDGET) -> GHResult:
         # [:, x] of these stacks is the pair (wx[:, x], wx[x, :])
         SX, SY = np.array((wx.T, wx)), np.array((wy.T, wy))
         seed_rows, seed_cols, s = _seed(SX, SY)
-        C = np.abs(np.subtract.outer(np.diag(wx), np.diag(wy)))
+        C, table = np.abs(np.subtract.outer(np.diag(wx), np.diag(wy))), None
         if len(row_blocks(nx * ny, nx * ny)) == 1:
-            np.maximum(C, _floor(wx, wy), out=C)
+            C0, table = _floor(wx, wy)
+            np.maximum(C, C0, out=C)
         root = max(np.minimum.reduce(C, axis=1).max(), np.minimum.reduce(C).max())
         flat = C.reshape(-1)
         # the cell picked at each level: phi fills cols[:nx], psi fills rows[nx:]
@@ -266,11 +274,13 @@ def gh_exact(X, Y, budget: int | None = DEFAULT_BUDGET) -> GHResult:
             else:
                 rows[level] = v
             x, y = rows[level], cols[level]
-            # C = max(C, |wx[:, x] - wy[:, y]|, |wx[x, :] - wy[y, :]|) as outer
-            # differences, both in one (2, nx, ny) buffer
-            raised = SX[:, x, :, None] - SY[:, y, None, :]
-            np.abs(raised, out=raised)
-            raised = np.maximum(raised[0], raised[1], out=raised[0]).reshape(-1)
+            if table is not None:
+                raised = table[x * ny + y]
+            else:
+                # max(|wx[:, x] - wy[:, y]|, |wx[x, :] - wy[y, :]|), in one buffer
+                raised = SX[:, x, :, None] - SY[:, y, None, :]
+                np.abs(raised, out=raised)
+                raised = np.maximum(raised[0], raised[1], out=raised[0]).reshape(-1)
             idx = (raised > flat).nonzero()[0]
             undo.append((idx, flat[idx]))
             flat[idx] = raised[idx]

@@ -24,6 +24,7 @@ from qmet import (
     triangle_closure,
     verify_rough_isometry,
 )
+from qmet import gh as qgh
 from qmet import pairs as qpairs
 from qmet.errors import (
     EpsTooSmall,
@@ -306,8 +307,56 @@ class TestGHAgainstReference:
         spaces = qspaces(min_n=1, max_n=6).map(lambda X: X.d)
         wx, wy = data.draw(st.tuples(spaces, spaces) | st.tuples(huge_networks(), huge_networks()))
         with np.errstate(over="ignore"):
-            got = _floor(wx, wy)
+            got, _ = _floor(wx, wy)
         assert same_bits(got, reference_floor(wx, wy))
+
+    @given(st.data())
+    def test_table_rows_are_the_pick_raise(self, data):
+        # row x n_Y + y of the floor's table is what a pick of (x, y) raises
+        # the costs to, bit for bit, as the search computes it above the gate
+        spaces = qspaces(min_n=1, max_n=6).map(lambda X: X.d)
+        wx, wy = data.draw(st.tuples(spaces, spaces) | st.tuples(huge_networks(), huge_networks()))
+        SX, SY = np.array((wx.T, wx)), np.array((wy.T, wy))
+        with np.errstate(over="ignore"):
+            _, table = _floor(wx, wy)
+            for x in range(len(wx)):
+                for y in range(len(wy)):
+                    raised = np.abs(SX[:, x, :, None] - SY[:, y, None, :])
+                    raised = np.maximum(raised[0], raised[1]).reshape(-1)
+                    assert same_bits(table[x * len(wy) + y], raised)
+
+    @pytest.mark.parametrize(
+        "nx, ny, budget", [(16, 16, None), (16, 16, 2_000), (257, 1, None), (1, 257, None)]
+    )
+    def test_gate_boundary(self, nx, ny, budget, monkeypatch):
+        # at 256 cells the picks read their rows from the floor's table, at
+        # 257 they compute them; the unbudgeted 16 x 16 pair is a perturbed
+        # copy, which the search solves exactly
+        rng = np.random.default_rng(1610)
+        X = random_qspace(nx, rng)
+        if nx == ny and budget is None:
+            Y = perturbed_space(X, rng, 0.08 * X.diam)
+        else:
+            Y = random_qspace(ny, rng)
+        calls = []
+        monkeypatch.setattr(qgh, "_floor", lambda *w: calls.append(w) or _floor(*w))
+        got = gh_exact(X, Y, budget=budget)
+        assert len(calls) == (nx * ny <= 256)
+        assert_no_worse(got, reference_gh(X, Y, budget=budget or DEFAULT_BUDGET))
+
+    def test_table_memory_at_the_gate(self):
+        # the 512 KB table of 16 x 16 cells and its two build temporaries
+        rng = np.random.default_rng(1610)
+        X = random_qspace(16, rng)
+        Y = perturbed_space(X, rng, 0.08 * X.diam)
+        tracemalloc.start()
+        try:
+            r = gh_exact(X, Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.exact
+        assert peak < 4_000_000
 
     @pytest.mark.parametrize("n", [6, 7, 8])
     def test_perturbed_pairs(self, n):

@@ -1,10 +1,14 @@
 """Checks on the library source itself."""
 
 import ast
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import qmet
 from qmet.tolerances import ledger
@@ -263,6 +267,20 @@ def test_gh_search_smoke_has_no_failed_operation():
     # most half the entrywise gap on perturbations
     result, err = _smoke("gh-search")
     assert result["correct"] and result["failed"] == 0, err
+
+
+def test_gh_fingerprint_matches_the_committed_file():
+    # the fast panels of scripts/fingerprint.py: every search's value, exact
+    # flag, nodes, correspondence and lower bound as FINGERPRINT.json has them
+    spec = importlib.util.spec_from_file_location("fingerprint", ROOT / "scripts" / "fingerprint.py")
+    fingerprint = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fingerprint)
+    want = json.loads((ROOT / "FINGERPRINT.json").read_text())
+    got = fingerprint.fingerprint(("heavy-tail-8", "heavy-tail-10", "networks", "above-gate"))
+    inputs = {name: d["inputs"] for name, d in got["panels"].items()}
+    if want["numpy"] != np.__version__ and inputs != {n: want["panels"][n]["inputs"] for n in inputs}:
+        pytest.skip(f"numpy {np.__version__} draws other panels than {want['numpy']} did")
+    assert fingerprint.moved(want, got) == []
 
 
 # public names that nothing in the library, the acceptance suite, the
